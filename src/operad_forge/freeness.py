@@ -12,6 +12,7 @@ verifier checks by exhaustive enumeration at small arity.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -253,20 +254,11 @@ def operation_trees(
                     ]
                     words.extend(
                         OperationTree(g, combo)
-                        for combo in _product(options)
+                        for combo in itertools.product(*options)
                     )
         return tuple(words)
 
     return list(rec(n))
-
-
-def _product(options: list[tuple]) -> Iterator[tuple]:
-    if not options:
-        yield ()
-        return
-    for head in options[0]:
-        for tail in _product(options[1:]):
-            yield (head,) + tail
 
 
 class FreenessReport(NamedTuple):
@@ -278,6 +270,8 @@ class FreenessReport(NamedTuple):
 
 def verify_freeness(n: int) -> FreenessReport:
     """Check that evaluation is a bijection onto all trees of arity n."""
+    if n < 2:
+        raise TreeError("freeness is checked at arity at least 2")
     words = operation_trees(n)
     images = {evaluate(w) for w in words}
     expected = n ** (n - 1)

@@ -14,10 +14,11 @@ from typing import Iterator, Mapping
 from .trees import (
     LabelledRootedTree,
     TreeError,
+    act,
     degree,
-    gap,
+    enumerate_trees,
     epsilon,
-    in_vertices,
+    gap,
     parse_tree,
 )
 
@@ -47,32 +48,25 @@ def graft_compose(
     """
     _check_compose_args(tree, i, inserted)
     m = inserted.n
-    children_of_i = in_vertices(tree, i)
-    if set(f) != set(children_of_i):
+    if f.keys() != set(tree.children(i)):
         raise TreeError("graft map must be total on the children of i")
-    for j, target in f.items():
+    for target in f.values():
         if not 1 <= target <= m:
             raise TreeError(f"graft target {target} out of range for arity {m}")
-
-    def shift(v: int) -> int:
-        return v if v < i else v + m - 1
-
-    parent: dict[int, int | None] = {}
-    for v, p in inserted.parent_map().items():
-        parent[v + i - 1] = p + i - 1 if p is not None else None
-    out = tree.parent_of(i)
-    if out is not None:
-        parent[inserted.root + i - 1] = shift(out)
-    for v, p in tree.parent_map().items():
+    d, up = i - 1, m - 1  # shifts of the inserted labels and of tree labels above i
+    parent: dict[int, int | None] = {
+        v + d: None if p is None else p + d for v, p in inserted._parent.items()
+    }
+    for v, p in tree._parent.items():
         if v == i:
-            continue
-        if p == i:
-            parent[shift(v)] = f[v] + i - 1
-        elif p is not None:
-            parent[shift(v)] = shift(p)
+            if p is not None:
+                parent[inserted.root + d] = p if p < i else p + up
+        elif p == i:
+            parent[v if v < i else v + up] = f[v] + d
         else:
-            parent[shift(v)] = None
-    root = inserted.root + i - 1 if tree.root == i else shift(tree.root)
+            parent[v if v < i else v + up] = p if p is None or p < i else p + up
+    r = tree.root
+    root = inserted.root + d if r == i else (r if r < i else r + up)
     # grafting two valid trees always yields a valid tree
     return LabelledRootedTree._from_valid_parent(parent, root)
 
@@ -81,9 +75,23 @@ def graft_maps(
     tree: LabelledRootedTree, i: int, m: int
 ) -> Iterator[dict[int, int]]:
     """All maps from the children of i into [m], lexicographic by child label."""
-    children = sorted(in_vertices(tree, i))
+    children = tree.children(i)
     for targets in itertools.product(range(1, m + 1), repeat=len(children)):
         yield dict(zip(children, targets))
+
+
+def f_min_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
+    """Children below i regraft onto vertex 1, children above onto vertex m."""
+    if not 1 <= i <= tree.n:
+        raise TreeError(f"position {i} out of range for arity {tree.n}")
+    return {k: (1 if k < i else m) for k in tree.children(i)}
+
+
+def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
+    """Children below i regraft onto vertex m, children above onto vertex 1."""
+    if not 1 <= i <= tree.n:
+        raise TreeError(f"position {i} out of range for arity {tree.n}")
+    return {k: (m if k < i else 1) for k in tree.children(i)}
 
 
 class TreeSum:
@@ -230,19 +238,18 @@ def compose_pl(
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums."""
-    result = TreeSum(a.arity + b.arity - 1)
-    for t, ct in a.terms():
-        for s, cs in b.terms():
-            result = result + (ct * cs) * compose_pl(t, i, s)
-    return result
+    terms: dict[LabelledRootedTree, int] = {}
+    for t, ct in a._terms.items():
+        for s, cs in b._terms.items():
+            for u, c in compose_pl(t, i, s)._terms.items():
+                terms[u] = terms.get(u, 0) + ct * cs * c
+    return TreeSum(a.arity + b.arity - 1, terms)
 
 
 def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition."""
-    from .set_operads import f_min_map
-
     return graft_compose(tree, i, inserted, f_min_map(tree, i, inserted.n))
 
 
@@ -250,8 +257,6 @@ def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition."""
-    from .set_operads import f_max_map
-
     return graft_compose(tree, i, inserted, f_max_map(tree, i, inserted.n))
 
 
@@ -267,7 +272,7 @@ def degree_bounds(
         + gap(tree, i) * (m - 1)
         + epsilon(tree, i, m, inserted.root)
     )
-    hi = lo + len(in_vertices(tree, i)) * (m - 1)
+    hi = lo + len(tree.children(i)) * (m - 1)
     return lo, hi
 
 
@@ -278,8 +283,6 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     composition terms must attain the exact bounds, each at exactly one
     graft map, namely the extremal maps.  Returns failure descriptions.
     """
-    from .trees import enumerate_trees
-
     failures: list[str] = []
     basis = {n: list(enumerate_trees(n)) for n in range(1, max_arity + 1)}
     for n in range(1, max_arity + 1):
@@ -321,8 +324,6 @@ def check_pre_lie_relation() -> bool:
     Swapping the last two inputs is the label transposition (2 3); the
     product is pre-Lie exactly when the associator is fixed by it.
     """
-    from .trees import act
-
     mu = parse_tree("1(2)")
     assoc = pre_lie_associator(mu)
     swap = {1: 1, 2: 3, 3: 2}

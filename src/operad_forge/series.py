@@ -118,22 +118,6 @@ class PowerSeries:
         return " ".join([head] + parts[1:])
 
 
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a + b
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
-def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    return outer.compose(inner)
-
-
-def compositional_inverse(h: PowerSeries) -> PowerSeries:
-    return h.compositional_inverse()
-
-
 def cayley_series(order: int) -> PowerSeries:
     """x + sum_{n>=2} n^(n-1) x^n, the tree-counting series."""
     if order < 1:

@@ -3,9 +3,11 @@
 Three deterministic graft-map choices each make the collection of
 labelled rooted trees into a non-symmetric operad: regrafting extremal
 by label (max / min) or always onto the root of the inserted tree (nap).
-The checker verifies the sequential and parallel associativity axioms
-and both unit laws exhaustively over small arities, for these three set
-operads and for the full linearized composition.
+The max and min compositions are the extremal terms of the grafting
+sum, defined with their graft maps in :mod:`prelie`.  The checker
+verifies the sequential and parallel associativity axioms and both unit
+laws exhaustively over small arities, for these three set operads and
+for the full linearized composition.
 """
 
 from __future__ import annotations
@@ -13,24 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .trees import LabelledRootedTree, TreeError, enumerate_trees, in_vertices
-from .prelie import TreeSum, compose_pl_linear, graft_compose
+from .trees import LabelledRootedTree, TreeError, enumerate_trees
+from .prelie import (
+    TreeSum,
+    compose_pl_linear,
+    f_max_map,  # noqa: F401 (re-exported)
+    f_min_map,  # noqa: F401 (re-exported)
+    graft_compose,
+    max_term,
+    min_term,
+)
 
 KINDS = ("max", "min", "nap", "pl")
-
-
-def f_min_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
-    """Children below i regraft onto vertex 1, children above onto vertex m."""
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
-    return {k: (1 if k < i else m) for k in in_vertices(tree, i)}
-
-
-def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
-    """Children below i regraft onto vertex m, children above onto vertex 1."""
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
-    return {k: (m if k < i else 1) for k in in_vertices(tree, i)}
 
 
 def f_nap_map(
@@ -39,19 +35,11 @@ def f_nap_map(
     """Every displaced child regrafts onto the root of the inserted tree."""
     if not 1 <= i <= tree.n:
         raise TreeError(f"position {i} out of range for arity {tree.n}")
-    return {k: inserted.root for k in in_vertices(tree, i)}
+    return {k: inserted.root for k in tree.children(i)}
 
 
-def compose_max(
-    tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
-) -> LabelledRootedTree:
-    return graft_compose(tree, i, inserted, f_max_map(tree, i, inserted.n))
-
-
-def compose_min(
-    tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
-) -> LabelledRootedTree:
-    return graft_compose(tree, i, inserted, f_min_map(tree, i, inserted.n))
+compose_max = max_term
+compose_min = min_term
 
 
 def compose_nap(
@@ -97,16 +85,9 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         raise TreeError("max_arity must be at least 2")
 
     if kind == "pl":
-        def compose(x, i, y):
-            return compose_pl_linear(x, i, y)
-
-        def lift(t):
-            return TreeSum.single(t)
+        compose, lift = compose_pl_linear, TreeSum.single
     else:
-        compose = SET_COMPOSE[kind]
-
-        def lift(t):
-            return t
+        compose, lift = SET_COMPOSE[kind], lambda t: t
 
     basis = {
         n: [lift(t) for t in enumerate_trees(n)] for n in range(1, max_arity + 1)

@@ -40,25 +40,18 @@ class LabelledRootedTree:
                 raise TreeError(f"bad label {v!r}: labels are positive integers")
             if p is not None and p not in parent:
                 raise TreeError(f"vertex {v} has parent {p} outside the label set")
-        self._parent = dict(parent)
-        self._root = roots[0]
-        children: dict[int, list[int]] = {v: [] for v in self._parent}
-        for v, p in self._parent.items():
-            if p is not None:
-                children[p].append(v)
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+        parent = dict(parent)
         # connectivity: every vertex must reach the root along parent links
-        seen = {self._root}
-        for v in self._parent:
+        seen = {roots[0]}
+        for v in parent:
             path = []
             while v not in seen:
                 path.append(v)
-                v = self._parent[v]  # type: ignore[assignment]
-                if v is None or len(path) > len(self._parent):
+                v = parent[v]  # type: ignore[assignment]
+                if v is None or len(path) > len(parent):
                     raise TreeError("parent links do not reach the root")
             seen.update(path)
-        self._key = tuple(sorted(self._parent.items()))
-        self._text: str | None = None
+        self._build(parent, roots[0])
 
     @classmethod
     def _from_valid_parent(
@@ -66,16 +59,21 @@ class LabelledRootedTree:
     ) -> "LabelledRootedTree":
         # internal fast path: the caller guarantees a well-formed map
         tree = cls.__new__(cls)
-        tree._parent = parent
-        tree._root = root
-        children: dict[int, list[int]] = {v: [] for v in parent}
-        for v, p in parent.items():
+        tree._build(parent, root)
+        return tree
+
+    def _build(self, parent: dict[int, int | None], root: int) -> None:
+        # the one place children and key are derived; walking the sorted
+        # key appends every child list in ascending order
+        self._parent = parent
+        self._root = root
+        self._key = tuple(sorted(parent.items()))
+        children: dict[int, list[int]] = {v: [] for v, _ in self._key}
+        for v, p in self._key:
             if p is not None:
                 children[p].append(v)
-        tree._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        tree._key = tuple(sorted(parent.items()))
-        tree._text = None
-        return tree
+        self._children = {v: tuple(cs) for v, cs in children.items()}
+        self._text: str | None = None
 
     @property
     def n(self) -> int:
@@ -93,7 +91,8 @@ class LabelledRootedTree:
     @property
     def is_standard(self) -> bool:
         """True when the label set is exactly 1..n."""
-        return self.labels == tuple(range(1, self.n + 1))
+        # n distinct positive labels are 1..n exactly when the largest is n
+        return self._key[-1][0] == len(self._key)
 
     def parent_of(self, v: int) -> int | None:
         try:
@@ -210,8 +209,17 @@ def tree_to_json(tree: LabelledRootedTree) -> str:
 
 
 def tree_from_json(text: str) -> LabelledRootedTree:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TreeError(f"invalid tree JSON: {exc}") from None
+    if not isinstance(data, dict) or not {"n", "parent"} <= data.keys():
+        raise TreeError('tree JSON must be an object with "n" and "parent"')
     n, parents = data["n"], data["parent"]
+    if type(n) is not int or not isinstance(parents, list) or any(
+        type(p) is not int for p in parents
+    ):
+        raise TreeError('"n" must be an integer and "parent" a list of integers')
     if len(parents) != n:
         raise TreeError("parent array length disagrees with n")
     return LabelledRootedTree(

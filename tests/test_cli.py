@@ -105,6 +105,14 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "OK 9 trees, 9 constructions"
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_freeness_rejects_arity_below_two(self, capsys, n):
+        code = main(["verify", "freeness", "-n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_minmax(self, capsys):
         code, out = run(capsys, "verify", "minmax", "--max-arity", "3")
         assert code == 0 and out.startswith("OK")

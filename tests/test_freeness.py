@@ -169,6 +169,11 @@ class TestFreeness:
     def test_bijection_arity_five(self):
         assert verify_freeness(5).ok
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_arity_below_two(self, n):
+        with pytest.raises(TreeError):
+            verify_freeness(n)
+
 
 class TestCollisions:
     def test_min_collision_is_the_known_pair(self):
@@ -191,7 +196,9 @@ class TestCollisions:
         assert find_collision("min", 4, min_generator_arity=4) is None
 
     def test_max_never_collides_at_small_arity(self):
-        from operad_forge.trees import TreeError
+        for n in range(2, 7):
+            assert find_collision("max", n) is None
 
+    def test_unknown_kind_rejected(self):
         with pytest.raises(TreeError):
             find_collision("bogus", 3)

@@ -1,5 +1,6 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -118,6 +119,38 @@ class TestTreeSum:
         s = TreeSum.single(parse_tree("1(2)")) - 2 * TreeSum.single(parse_tree("2(1)"))
         assert str(s) == "1*1(2) - 2*2(1)"
         assert parse_tree_sum(str(s)) == s
+
+
+@st.composite
+def tree_sums(draw, n):
+    """Mixed-sign sums of arity n, built with TreeSum's own + and -."""
+    total = TreeSum(n)
+    terms = st.tuples(standard_trees(min_n=n, max_n=n), st.integers(-3, 3))
+    for t, c in draw(st.lists(terms, max_size=4)):
+        total = total + TreeSum.single(t, c)
+        if draw(st.booleans()):  # cancel the term again, down to zero at times
+            total = total - TreeSum.single(t, c)
+    return total
+
+
+@st.composite
+def sum_pairs(draw, max_n=4):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_n))
+    return draw(tree_sums(n)), draw(tree_sums(m))
+
+
+class TestComposePlLinear:
+    @given(sum_pairs())
+    @settings(max_examples=80)
+    def test_matches_termwise_definition(self, pair):
+        a, b = pair
+        for i in range(1, a.arity + 1):
+            expected = TreeSum(a.arity + b.arity - 1)
+            for t, ct in a.terms():
+                for s, cs in b.terms():
+                    expected = expected + (ct * cs) * compose_pl(t, i, s)
+            assert compose_pl_linear(a, i, b) == expected
 
 
 class TestExtremalTerms:

@@ -73,6 +73,45 @@ class TestJson:
         assert data["parent"][5] == 0  # vertex 6 is the root
         assert tree_from_json(tree_to_json(t)) == t
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[1,2]",
+            '"2(1)"',
+            '{"n":2}',
+            '{"parent":[0,1]}',
+            '{"n":"2","parent":[0,1]}',
+            '{"n":2,"parent":[0,"1"]}',
+            '{"n":2,"parent":[0,1.0]}',
+            '{"n":2,"parent":[0,true]}',
+            '{"n":2,"parent":{"2":1}}',
+            '{"n":2,"parent":[0]}',
+            '{"n":2,"parent":[0,0]}',
+            '{"n":2,"parent":[2,1]}',
+            '{"n":2,"parent":[0,5]}',
+        ],
+    )
+    def test_rejects_malformed(self, text):
+        with pytest.raises(TreeError):
+            tree_from_json(text)
+
+
+class TestIsStandard:
+    def test_parsed_trees_are_standard(self):
+        assert parse_tree(X_TEXT).is_standard
+        for n in range(1, 5):
+            for t in enumerate_trees(n):
+                assert parse_tree(str(t)).is_standard
+
+    @pytest.mark.parametrize(
+        "parent",
+        [{2: None, 3: 2}, {1: None, 3: 1}, {1: None, 2: 1, 4: 2}],
+        ids=["2,3", "1,3", "1,2,4"],
+    )
+    def test_other_label_sets_are_not(self, parent):
+        assert not LabelledRootedTree(parent).is_standard
+
 
 class TestEnumerate:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
