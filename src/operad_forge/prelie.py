@@ -34,6 +34,32 @@ def _check_compose_args(
         raise TreeError(f"position {i} out of range for arity {tree.n}")
 
 
+def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree):
+    """The terms of T o_i S, sharing what no graft map changes.
+
+    Returns ``(graft, children)``: ``children`` lists the children of i
+    in ascending order, and ``graft(targets)`` is the term whose graft
+    map sends them to ``targets`` (trusted to lie in 1..m).  Each call
+    patches only the children's slots of a base built once.
+    """
+    _check_compose_args(tree, i, inserted)
+    par, ins = tree._par, inserted._par
+    d, up = i - 1, len(ins) - 1  # shifts of inserted labels and of tree labels above i
+    out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
+    base = out[:d] + [q + d if q else out[d] for q in ins] + out[i:]
+    children = [k for k, p in enumerate(par, 1) if p == i]
+    slots = [k - 1 if k < i else k + up - 1 for k in children]
+    root = base.index(0) + 1  # children's slots hold i + up, never 0
+
+    def graft(targets) -> LabelledRootedTree:
+        term = base[:]
+        for k, t in zip(slots, targets):
+            term[k] = t + d
+        return LabelledRootedTree._from_par(tuple(term), root)
+
+    return graft, children
+
+
 def graft_compose(
     tree: LabelledRootedTree,
     i: int,
@@ -46,29 +72,14 @@ def graft_compose(
     shift up by m-1, so the result is standard of arity n+m-1.  Each
     child j of i becomes a child of the shifted vertex f(j)+i-1.
     """
-    _check_compose_args(tree, i, inserted)
     m = inserted.n
-    if f.keys() != set(tree.children(i)):
+    graft, children = _graft_kernel(tree, i, inserted)
+    if f.keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
         if not 1 <= target <= m:
             raise TreeError(f"graft target {target} out of range for arity {m}")
-    d, up = i - 1, m - 1  # shifts of the inserted labels and of tree labels above i
-    parent: dict[int, int | None] = {
-        v + d: None if p is None else p + d for v, p in inserted._parent.items()
-    }
-    for v, p in tree._parent.items():
-        if v == i:
-            if p is not None:
-                parent[inserted.root + d] = p if p < i else p + up
-        elif p == i:
-            parent[v if v < i else v + up] = f[v] + d
-        else:
-            parent[v if v < i else v + up] = p if p is None or p < i else p + up
-    r = tree.root
-    root = inserted.root + d if r == i else (r if r < i else r + up)
-    # grafting two valid trees always yields a valid tree
-    return LabelledRootedTree._from_valid_parent(parent, root)
+    return graft([f[k] for k in children])
 
 
 def graft_maps(
@@ -228,12 +239,7 @@ def compose_pl(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> TreeSum:
     """Sum of graft compositions over all graft maps, each with coefficient 1."""
-    _check_compose_args(tree, i, inserted)
-    terms: dict[LabelledRootedTree, int] = {}
-    for f in graft_maps(tree, i, inserted.n):
-        term = graft_compose(tree, i, inserted, f)
-        terms[term] = terms.get(term, 0) + 1
-    return TreeSum(tree.n + inserted.n - 1, terms)
+    return compose_pl_linear(TreeSum.single(tree), i, TreeSum.single(inserted))
 
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
@@ -241,23 +247,27 @@ def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     terms: dict[LabelledRootedTree, int] = {}
     for t, ct in a._terms.items():
         for s, cs in b._terms.items():
-            for u, c in compose_pl(t, i, s)._terms.items():
-                terms[u] = terms.get(u, 0) + ct * cs * c
+            graft, children = _graft_kernel(t, i, s)
+            maps = itertools.product(range(1, s.n + 1), repeat=len(children))
+            for term in map(graft, maps):
+                terms[term] = terms.get(term, 0) + ct * cs
     return TreeSum(a.arity + b.arity - 1, terms)
 
 
 def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
-    """The unique degree-minimal term of the composition."""
-    return graft_compose(tree, i, inserted, f_min_map(tree, i, inserted.n))
+    """The unique degree-minimal term of the composition (graft map f_min_map)."""
+    graft, children = _graft_kernel(tree, i, inserted)
+    return graft([1 if k < i else inserted.n for k in children])
 
 
 def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
-    """The unique degree-maximal term of the composition."""
-    return graft_compose(tree, i, inserted, f_max_map(tree, i, inserted.n))
+    """The unique degree-maximal term of the composition (graft map f_max_map)."""
+    graft, children = _graft_kernel(tree, i, inserted)
+    return graft([inserted.n if k < i else 1 for k in children])
 
 
 def degree_bounds(
@@ -291,10 +301,9 @@ def check_extremal_terms(max_arity: int) -> list[str]:
                 for m in range(1, max_arity + 1):
                     for s in basis[m]:
                         lo, hi = degree_bounds(t, i, s)
-                        degs = [
-                            degree(graft_compose(t, i, s, f))
-                            for f in graft_maps(t, i, m)
-                        ]
+                        graft, children = _graft_kernel(t, i, s)
+                        maps = itertools.product(range(1, m + 1), repeat=len(children))
+                        degs = [degree(graft(f)) for f in maps]
                         ok = (
                             min(degs) == lo
                             and max(degs) == hi

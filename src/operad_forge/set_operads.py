@@ -89,38 +89,40 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
     else:
         compose, lift = SET_COMPOSE[kind], lambda t: t
 
-    basis = {
-        n: [lift(t) for t in enumerate_trees(n)] for n in range(1, max_arity + 1)
+    arities = range(1, max_arity + 1)
+    basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}
+    # every composition of two basis elements, computed once: at[x, y][i - 1]
+    at = {
+        (x, y): [compose(x, i, y) for i in range(1, n + 1)]
+        for n in arities for x in basis[n] for m in arities for y in basis[m]
     }
     unit = basis[1][0]
     violations: list[Violation] = []
 
     # unit laws
-    for n in range(1, max_arity + 1):
+    for n in arities:
         for a in basis[n]:
-            lhs = compose(unit, 1, a)
+            lhs = at[unit, a][0]
             if lhs != a:
                 violations.append(
                     Violation("unitL", str(a), "1", "-", 1, 0, str(lhs), str(a))
                 )
             for i in range(1, n + 1):
-                lhs = compose(a, i, unit)
+                lhs = at[a, unit][i - 1]
                 if lhs != a:
                     violations.append(
                         Violation("unitR", str(a), "1", "-", i, 0, str(lhs), str(a))
                     )
 
-    # associativity, sequential and parallel; inner composes are hoisted
-    # so each small composition is computed once per (operands, position)
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
-            for ell in range(1, max_arity + 1):
+    # associativity, sequential and parallel
+    for n in arities:
+        for m in arities:
+            for ell in arities:
                 for a in basis[n]:
                     for b in basis[m]:
-                        ab_at = [compose(a, i, b) for i in range(1, n + 1)]
+                        ab_at = at[a, b]
                         for c in basis[ell]:
-                            bc_at = [compose(b, j, c) for j in range(1, m + 1)]
-                            ac_at = [compose(a, j, c) for j in range(1, n + 1)]
+                            bc_at, ac_at = at[b, c], at[a, c]
                             for i in range(1, n + 1):
                                 ab = ab_at[i - 1]
                                 for j in range(1, m + 1):

@@ -25,9 +25,13 @@ class LabelledRootedTree:
     ``{1..n}``; restriction and subtree extraction produce trees over
     arbitrary label subsets, which are re-standardized only through
     :func:`order_relabel`.
+
+    A standard tree is keyed by its parent tuple (``par[v - 1]`` is the
+    parent of v, 0 marks the root), any other by its sorted items; the
+    parent dict and the children map are derived on first use.
     """
 
-    __slots__ = ("_parent", "_children", "_root", "_key", "_text")
+    __slots__ = ("_key", "_par", "_root", "_parent", "_children", "_text")
 
     def __init__(self, parent: Mapping[int, int | None]):
         if not parent:
@@ -36,9 +40,9 @@ class LabelledRootedTree:
         if len(roots) != 1:
             raise TreeError(f"expected exactly one root, found {len(roots)}")
         for v, p in parent.items():
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise TreeError(f"bad label {v!r}: labels are positive integers")
-            if p is not None and p not in parent:
+            if p is not None and (type(p) is not int or p not in parent):
                 raise TreeError(f"vertex {v} has parent {p} outside the label set")
         parent = dict(parent)
         # connectivity: every vertex must reach the root along parent links
@@ -54,31 +58,42 @@ class LabelledRootedTree:
         self._build(parent, roots[0])
 
     @classmethod
-    def _from_valid_parent(
-        cls, parent: dict[int, int | None], root: int
-    ) -> "LabelledRootedTree":
-        # internal fast path: the caller guarantees a well-formed map
+    def _from_par(cls, par: tuple[int, ...], root: int) -> "LabelledRootedTree":
+        # internal fast path: the caller guarantees a valid parent tuple
         tree = cls.__new__(cls)
-        tree._build(parent, root)
+        tree._key = tree._par = par
+        tree._root = root
+        tree._parent = tree._children = tree._text = None
         return tree
 
     def _build(self, parent: dict[int, int | None], root: int) -> None:
-        # the one place children and key are derived; walking the sorted
-        # key appends every child list in ascending order
+        n = len(parent)
+        # n distinct positive labels are 1..n exactly when the largest is n
+        if max(parent) == n:
+            self._key = self._par = tuple(parent[v] or 0 for v in range(1, n + 1))
+        else:
+            self._key = tuple(sorted(parent.items()))
+            self._par = None
         self._parent = parent
         self._root = root
-        self._key = tuple(sorted(parent.items()))
-        children: dict[int, list[int]] = {v: [] for v, _ in self._key}
-        for v, p in self._key:
-            if p is not None:
-                children[p].append(v)
+        self._children = self._text = None
+
+    def _parent_dict(self) -> dict[int, int | None]:
+        self._parent = {v: p or None for v, p in enumerate(self._par, 1)}
+        return self._parent
+
+    def _child_map(self) -> dict[int, tuple[int, ...]]:
+        # edges come in child-label order, so every child list is ascending
+        children: dict[int, list[int]] = {v: [] for v in self.labels}
+        for v, p in self.edges():
+            children[p].append(v)
         self._children = {v: tuple(cs) for v, cs in children.items()}
-        self._text: str | None = None
+        return self._children
 
     @property
     def n(self) -> int:
         """Number of vertices (the arity of the tree as an operad element)."""
-        return len(self._parent)
+        return len(self._key)
 
     @property
     def root(self) -> int:
@@ -86,34 +101,35 @@ class LabelledRootedTree:
 
     @property
     def labels(self) -> tuple[int, ...]:
+        if self._par is not None:
+            return tuple(range(1, len(self._par) + 1))
         return tuple(v for v, _ in self._key)
 
     @property
     def is_standard(self) -> bool:
         """True when the label set is exactly 1..n."""
-        # n distinct positive labels are 1..n exactly when the largest is n
-        return self._key[-1][0] == len(self._key)
+        return self._par is not None
 
     def parent_of(self, v: int) -> int | None:
         try:
-            return self._parent[v]
+            return (self._parent or self._parent_dict())[v]
         except KeyError:
             raise TreeError(f"no vertex labelled {v}") from None
 
     def children(self, v: int) -> tuple[int, ...]:
         try:
-            return self._children[v]
+            return (self._children or self._child_map())[v]
         except KeyError:
             raise TreeError(f"no vertex labelled {v}") from None
 
-    def edges(self) -> Iterator[tuple[int, int]]:
+    def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, ordered by child label."""
-        for v, p in self._key:
-            if p is not None:
-                yield v, p
+        if self._par is not None:
+            return [(v, p) for v, p in enumerate(self._par, 1) if p]
+        return [(v, p) for v, p in self._key if p is not None]
 
     def parent_map(self) -> dict[int, int | None]:
-        return dict(self._parent)
+        return dict(self._parent or self._parent_dict())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelledRootedTree):
@@ -125,14 +141,26 @@ class LabelledRootedTree:
 
     def __str__(self) -> str:
         if self._text is None:
-            self._text = self._render(self._root)
+            self._text = self._render()
         return self._text
 
-    def _render(self, v: int) -> str:
-        cs = self._children[v]
-        if not cs:
-            return str(v)
-        return f"{v}({','.join(self._render(c) for c in cs)})"
+    def _render(self) -> str:
+        # a stack of pending labels and punctuation, so depth is unbounded
+        children = self._children or self._child_map()
+        out: list[str] = []
+        stack: list[int | str] = [self._root]
+        while stack:
+            item = stack.pop()
+            cs = children[item] if type(item) is int else ()
+            if not cs:
+                out.append(str(item))
+                continue
+            out.append(f"{item}(")
+            stack.append(")")
+            for c in reversed(cs[1:]):
+                stack += (c, ",")
+            stack.append(cs[0])
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"LabelledRootedTree({self!s})"
@@ -151,43 +179,42 @@ class Forest:
 def parse_tree(text: str) -> LabelledRootedTree:
     """Parse the canonical ``label(children,...)`` form into a standard tree.
 
-    The label set must be exactly ``{1..n}``.
+    The label set must be exactly ``{1..n}``, written in ASCII decimal
+    without leading zeros.
     """
     s = text.strip()
     if not s:
         raise TreeError("empty input")
+    parent: dict[int, int | None] = {}
+    open_labels: list[int] = []  # vertices whose child lists are being read
     pos = 0
-
-    def read_label() -> int:
-        nonlocal pos
+    while True:
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if start == pos:
             raise TreeError(f"expected a label at position {start} in {text!r}")
-        return int(s[start:pos])
-
-    parent: dict[int, int | None] = {}
-
-    def read_tree(up: int | None) -> None:
-        nonlocal pos
-        label = read_label()
+        if s[start] == "0" and pos - start > 1:
+            raise TreeError(f"leading zero at position {start} in {text!r}")
+        label = int(s[start:pos])
         if label in parent:
             raise TreeError(f"duplicate label {label} in {text!r}")
-        parent[label] = up
+        parent[label] = open_labels[-1] if open_labels else None
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            while True:
-                read_tree(label)
-                if pos < len(s) and s[pos] == ",":
-                    pos += 1
-                    continue
+            open_labels.append(label)
+            continue
+        # after a finished subtree: a sibling follows, or child lists close
+        while open_labels:
+            if pos < len(s) and s[pos] == ",":
+                pos += 1
                 break
             if pos >= len(s) or s[pos] != ")":
                 raise TreeError(f"expected ')' at position {pos} in {text!r}")
             pos += 1
-
-    read_tree(None)
+            open_labels.pop()
+        else:
+            break
     if pos != len(s):
         raise TreeError(f"trailing text at position {pos} in {text!r}")
     if sorted(parent) != list(range(1, len(parent) + 1)):
@@ -204,8 +231,7 @@ def tree_to_json(tree: LabelledRootedTree) -> str:
     """JSON form ``{"n": n, "parent": [...]}`` with 0 marking the root."""
     if not tree.is_standard:
         raise TreeError("JSON form is defined for standard trees only")
-    parents = [tree.parent_of(v) or 0 for v in range(1, tree.n + 1)]
-    return json.dumps({"n": tree.n, "parent": parents})
+    return json.dumps({"n": tree.n, "parent": list(tree._par)})
 
 
 def tree_from_json(text: str) -> LabelledRootedTree:
@@ -256,15 +282,16 @@ def _rooted(edges: list[tuple[int, int]], n: int, root: int) -> LabelledRootedTr
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent: dict[int, int | None] = {root: None}
+    par = [-1] * (n + 1)  # -1 marks a vertex not reached yet
+    par[root] = 0
     stack = [root]
     while stack:
         v = stack.pop()
         for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
+            if par[w] < 0:
+                par[w] = v
                 stack.append(w)
-    return LabelledRootedTree._from_valid_parent(parent, root)
+    return LabelledRootedTree._from_par(tuple(par[1:]), root)
 
 
 def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
@@ -329,8 +356,6 @@ def restrict(tree: LabelledRootedTree, keep: Sequence[int] | set[int]) -> Forest
 
 def full_subtree(tree: LabelledRootedTree, c: int) -> LabelledRootedTree:
     """The subtree on all descendants of c (inclusive), rooted at c."""
-    if c not in tree._parent:
-        raise TreeError(f"no vertex labelled {c}")
     parent: dict[int, int | None] = {c: None}
     stack = [c]
     while stack:
@@ -368,8 +393,7 @@ def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTre
 
 def gap(tree: LabelledRootedTree, i: int) -> int:
     """Count edges with neither endpoint equal to i that strictly straddle i."""
-    if i not in tree._parent:
-        raise TreeError(f"no vertex labelled {i}")
+    tree.parent_of(i)  # raises TreeError for an unknown label
     count = 0
     for v, p in tree.edges():
         if v == i or p == i:

@@ -70,6 +70,13 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines() == ["1(2) 1", "2(1,3) 2"]
 
+    def test_degree_of_deep_chain(self, capsys, tmp_path):
+        chain = "(".join(str(v) for v in range(1, 1201)) + ")" * 1199
+        path = tmp_path / "chain.txt"
+        path.write_text(chain + "\n")
+        code, out = run(capsys, "degree", "--input", str(path))
+        assert code == 0 and out == f"{chain} 1199\n"
+
     def test_minmax(self, capsys):
         code, out = run(capsys, "minmax", "-i", "2", "2(1,3)", "2(1)")
         assert code == 0

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from operad_forge.trees import (
+    LabelledRootedTree,
     act,
     degree,
     enumerate_trees,
+    full_subtree,
     in_vertices,
+    order_relabel,
     parse_tree,
+    restrict,
+    tree_from_json,
+    tree_to_json,
 )
 from operad_forge.prelie import (
     TreeSum,
@@ -25,7 +31,14 @@ from operad_forge.prelie import (
     parse_tree_sum,
     pre_lie_associator,
 )
-from operad_forge.set_operads import compose_max, compose_min
+from operad_forge.set_operads import (
+    compose_max,
+    compose_min,
+    compose_nap,
+    f_max_map,
+    f_min_map,
+    f_nap_map,
+)
 
 from conftest import standard_trees
 
@@ -216,3 +229,88 @@ def test_graft_maps_lexicographic():
     assert maps == [
         {1: 1, 3: 1}, {1: 1, 3: 2}, {1: 2, 3: 1}, {1: 2, 3: 2},
     ]
+
+
+def reference_graft(t, i, s, f):
+    """T o_i S from the definition, on parent dicts.
+
+    S replaces vertex i, labels of S shift up by i-1 and labels of T
+    above i by m-1, the root of S hangs where i hung, and each child j
+    of i regrafts onto f(j)+i-1.
+    """
+    m = s.n
+
+    def outer(v):
+        return v if v < i else v + m - 1
+
+    parent = {}
+    for v in t.labels:
+        p = t.parent_of(v)
+        if v == i:
+            continue
+        if p == i:
+            parent[outer(v)] = f[v] + i - 1
+        else:
+            parent[outer(v)] = None if p is None else outer(p)
+    for w in s.labels:
+        q = s.parent_of(w)
+        if q is not None:
+            parent[w + i - 1] = q + i - 1
+        else:
+            pi = t.parent_of(i)
+            parent[w + i - 1] = None if pi is None else outer(pi)
+    return LabelledRootedTree(parent)
+
+
+class TestKernelOracle:
+    """The grafting kernel against the dict-based definition, arity <= 6."""
+
+    @given(standard_trees(max_n=6), standard_trees(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_graft_compose_and_compose_pl(self, t, s):
+        for i in range(1, t.n + 1):
+            expected = {}
+            for f in graft_maps(t, i, s.n):
+                term = reference_graft(t, i, s, f)
+                assert graft_compose(t, i, s, f) == term
+                expected[term] = expected.get(term, 0) + 1
+            assert compose_pl(t, i, s) == TreeSum(t.n + s.n - 1, expected)
+
+    @given(standard_trees(max_n=6), standard_trees(max_n=6))
+    @settings(max_examples=100, deadline=None)
+    def test_extremal_and_nap_terms(self, t, s):
+        for i in range(1, t.n + 1):
+            assert max_term(t, i, s) == reference_graft(t, i, s, f_max_map(t, i, s.n))
+            assert min_term(t, i, s) == reference_graft(t, i, s, f_min_map(t, i, s.n))
+            assert compose_nap(t, i, s) == reference_graft(t, i, s, f_nap_map(t, i, s))
+
+    @given(standard_trees(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_key_per_tree(self, t):
+        unit = parse_tree("1")
+        shifted = LabelledRootedTree(
+            {v + 10: None if p is None else p + 10 for v, p in t.parent_map().items()}
+        )
+        builds = [
+            parse_tree(str(t)),
+            tree_from_json(tree_to_json(t)),
+            LabelledRootedTree(t.parent_map()),
+            order_relabel(shifted, range(1, t.n + 1)),
+            graft_compose(unit, 1, t, {}),
+            graft_compose(t, 1, unit, {k: 1 for k in t.children(1)}),
+        ]
+        for u in builds:
+            assert u.is_standard and u == t and hash(u) == hash(t) and str(u) == str(t)
+        assert shifted != t and not shifted.is_standard
+        # a tree on another label set never equals a standard one
+        for c in t.labels:
+            sub = full_subtree(t, c)
+            rest = [v for v in t.labels if v != c]
+            pieces = restrict(t, rest).components if rest else ()
+            for part in (sub, *pieces):
+                std = order_relabel(part, range(1, part.n + 1))
+                same_labels = part.labels == std.labels
+                assert part.is_standard == same_labels
+                assert (part == std) == same_labels
+                if same_labels:
+                    assert hash(part) == hash(std)

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from operad_forge.trees import degree, enumerate_trees, in_vertices, parse_tree
-from operad_forge.prelie import degree_bounds
+from operad_forge.prelie import degree_bounds, graft_compose
 from operad_forge.set_operads import (
+    SET_COMPOSE,
+    Violation,
     check_axioms,
     compose_max,
     compose_min,
@@ -101,3 +103,50 @@ class TestAxioms:
 
         with pytest.raises(TreeError):
             check_axioms("bogus", 3)
+
+
+def clamp_compose(tree, i, inserted):
+    """Not an operad: child k of i regrafts onto vertex min(k, m)."""
+    m = inserted.n
+    return graft_compose(tree, i, inserted, {k: min(k, m) for k in tree.children(i)})
+
+
+def untabulated_violations(compose, max_arity):
+    """The axiom loop with every inner composition computed where it is used."""
+    arities = range(1, max_arity + 1)
+    basis = {n: list(enumerate_trees(n)) for n in arities}
+    unit = basis[1][0]
+    found = []
+
+    def check(axiom, a, b, c, i, j, lhs, rhs):
+        if lhs != rhs:
+            found.append(Violation(axiom, str(a), b, c, i, j, str(lhs), str(rhs)))
+
+    for n in arities:
+        for a in basis[n]:
+            check("unitL", a, "1", "-", 1, 0, compose(unit, 1, a), a)
+            for i in range(1, n + 1):
+                check("unitR", a, "1", "-", i, 0, compose(a, i, unit), a)
+    for n, m, ell in itertools.product(arities, repeat=3):
+        for a, b, c in itertools.product(basis[n], basis[m], basis[ell]):
+            for i in range(1, n + 1):
+                for j in range(1, m + 1):
+                    lhs = compose(compose(a, i, b), j + i - 1, c)
+                    rhs = compose(a, i, compose(b, j, c))
+                    check("seq", a, str(b), str(c), i, j, lhs, rhs)
+                for j in range(1, i):
+                    lhs = compose(compose(a, i, b), j, c)
+                    rhs = compose(compose(a, j, c), i + ell - 1, b)
+                    check("par", a, str(b), str(c), i, j, lhs, rhs)
+    return found
+
+
+def test_violations_are_reported_in_loop_order(monkeypatch):
+    monkeypatch.setitem(SET_COMPOSE, "max", clamp_compose)
+    found = check_axioms("max", 3)
+    assert len(found) == 6665
+    assert {v.axiom for v in found} == {"seq", "par"}
+    assert str(found[0]) == (
+        "axiom=seq a=1(2) b=1(2) c=1(2) i=1 j=1 lhs=1(2(3(4))) rhs=1(2(3,4))"
+    )
+    assert found == untabulated_violations(clamp_compose, 3)

@@ -48,7 +48,10 @@ class TestParseRender:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "1(", "2(1,1)", "1(3)", "a(b)", "1(2))", "0", "1(2) x"],
+        [
+            "", "1(", "2(1,1)", "1(3)", "a(b)", "1(2))", "0", "1(2) x",
+            "2(01)", "1(\u0662)", "1(\u00b2)",  # leading zero, non-ASCII digits
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(TreeError):
@@ -58,6 +61,18 @@ class TestParseRender:
         for n in range(1, 6):
             for t in enumerate_trees(n):
                 assert parse_tree(render_tree(t)) == t
+
+    def test_deep_chain_roundtrip(self):
+        chain = "(".join(str(v) for v in range(1, 1201)) + ")" * 1199
+        t = parse_tree(chain)
+        assert t.n == 1200 and degree(t) == 1199
+        assert render_tree(t) == chain
+
+    def test_rejects_bool_labels(self):
+        with pytest.raises(TreeError):
+            LabelledRootedTree({True: None})
+        with pytest.raises(TreeError):
+            LabelledRootedTree({1: None, 2: True})
 
     def test_equality_is_parent_map_equality(self):
         a = LabelledRootedTree({2: None, 1: 2, 3: 2})
