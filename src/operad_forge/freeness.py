@@ -16,14 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .trees import (
-    LabelledRootedTree,
-    TreeError,
-    enumerate_trees,
-    full_subtree,
-    order_relabel,
-    restrict,
-)
+from .trees import LabelledRootedTree, TreeError, enumerate_trees, restrict
 from .set_operads import SET_COMPOSE, compose_max
 
 
@@ -36,58 +29,41 @@ class Witness(NamedTuple):
 
 
 def _witness_at(tree: LabelledRootedTree, a: int, b: int) -> Optional[Witness]:
-    # (i) the interval must induce a single connected block
+    # (i) the interval induces a single connected block, rooted at c
     block = restrict(tree, range(a, b + 1))
     if len(block.components) != 1:
         return None
-    c = block.components[0].root
-    descendants = set(full_subtree(tree, c).labels)
-    # (ii) the whole interval lies under c ...
-    if not set(range(a, b + 1)) <= descendants:
-        return None
-    # ... and everything else under c hangs off a or b, with root labels
-    # outside the interval on the correct side: (iii) at a, (iv) at b
-    outside = descendants - set(range(a, b + 1))
-    for v in outside:
-        p = tree.parent_of(v)
-        if p in (a, b):  # v is the root of a grafted subtree
-            if p == a and not v > b:
-                return None
-            if p == b and not v < a:
-                return None
-        elif p not in outside:
+    # (ii) a vertex outside the interval with its parent inside hangs off b
+    # when it lies below a, and off a when it lies above b
+    for v, p in enumerate(tree._par, 1):
+        if a <= p <= b and not a <= v <= b and p != (b if v < a else a):
             return None
-    return Witness(a, b, c)
+    return Witness(a, b, block.components[0].root)
+
+
+def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
+    # the non-trivial witnesses, in lexicographic (a, b) order or its reverse
+    if not tree.is_standard:
+        raise TreeError("decomposition is defined on standard trees")
+    n = tree.n
+    intervals = list(itertools.combinations(range(1, n + 1), 2))
+    for a, b in reversed(intervals) if reverse else intervals:
+        if (a, b) != (1, n):
+            w = _witness_at(tree, a, b)
+            if w is not None:
+                yield w
 
 
 def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
     """All split witnesses, in lexicographic (a, b) order."""
-    if not tree.is_standard:
-        raise TreeError("decomposition is defined on standard trees")
-    n = tree.n
-    found = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) == (1, n):
-                continue
-            w = _witness_at(tree, a, b)
-            if w is not None:
-                found.append(w)
-    return found
+    return list(_scan(tree))
 
 
 def is_indecomposable(tree: LabelledRootedTree) -> bool:
     """True when no witness exists; only defined for arity >= 2."""
     if tree.n < 2:
         raise TreeError("generators have arity at least 2")
-    n = tree.n
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) == (1, n):
-                continue
-            if _witness_at(tree, a, b) is not None:
-                return False
-    return True
+    return next(_scan(tree), None) is None
 
 
 def split(
@@ -98,30 +74,18 @@ def split(
     Returns (outer, inner) with ``compose_max(outer, a, inner) == tree``.
     """
     a, b, c = witness
-    if _witness_at(tree, a, b) != witness:
+    if not tree.is_standard or _witness_at(tree, a, b) != witness:
         raise TreeError(f"{witness} is not a witness for {tree}")
-    inner = order_relabel(
-        restrict(tree, range(a, b + 1)).components[0], range(1, b - a + 2)
+    par, d, width = tree._par, a - 1, b - a
+    # outer labels: below a unchanged, the block contracted to a, above b
+    # shifted down; the contracted vertex takes the parent of c
+    contracted = [p if p < a else max(a, p - width) for p in par]
+    outer = contracted[:d] + [contracted[c - 1]] + contracted[b:]
+    inner = [p - d if a <= p <= b else 0 for p in par[d:b]]
+    return (
+        LabelledRootedTree._from_par(tuple(outer), outer.index(0) + 1),
+        LabelledRootedTree._from_par(tuple(inner), c - d),
     )
-    width = b - a
-
-    def shift(v: int) -> int:
-        return v if v < a else v - width
-
-    block = set(range(a, b + 1))
-    parent: dict[int, int | None] = {}
-    for v, p in tree.parent_map().items():
-        if v in block:
-            continue
-        if p in block:
-            parent[shift(v)] = a
-        elif p is None:
-            parent[shift(v)] = None
-        else:
-            parent[shift(v)] = shift(p)
-    p_c = tree.parent_of(c)
-    parent[a] = shift(p_c) if p_c is not None else None
-    return LabelledRootedTree(parent), inner
 
 
 @dataclass(frozen=True)
@@ -198,10 +162,9 @@ def factorize(
     """
     if tree.n < 2:
         raise TreeError("only trees of arity >= 2 factorize")
-    witnesses = decomposition_witnesses(tree)
-    if not witnesses:
+    w = next(_scan(tree, reverse_scan), None)
+    if w is None:
         return OperationTree.leaf_node(tree)
-    w = witnesses[-1] if reverse_scan else witnesses[0]
     outer, inner = split(tree, w)
     return _insert_at_input(
         factorize(outer, reverse_scan), w.a, factorize(inner, reverse_scan)
@@ -290,6 +253,8 @@ def find_collision(
     """
     if kind not in SET_COMPOSE:
         raise TreeError(f"unknown operad kind {kind!r}")
+    if n < 2:
+        raise TreeError("collisions are searched at arity at least 2")
     compose = SET_COMPOSE[kind]
     seen: dict[LabelledRootedTree, OperationTree] = {}
     for word in operation_trees(n, min_generator_arity):

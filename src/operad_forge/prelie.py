@@ -202,39 +202,6 @@ class TreeSum:
         return f"TreeSum({self!s})"
 
 
-def parse_tree_sum(text: str) -> TreeSum:
-    """Inverse of ``str(TreeSum)`` for nonzero sums; "0" needs an arity, so rejects."""
-    s = text.strip()
-    if not s or s == "0":
-        raise TreeError("cannot parse a zero sum without an arity")
-    # split on " + " / " - " separators between terms
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf = s
-    while buf:
-        plus = buf.find(" + ")
-        minus = buf.find(" - ")
-        cut = min(p for p in (plus, minus) if p >= 0) if max(plus, minus) >= 0 else -1
-        if cut == -1:
-            chunks.append((sign, buf))
-            break
-        chunks.append((sign, buf[:cut]))
-        sign = 1 if buf[cut : cut + 3] == " + " else -1
-        buf = buf[cut + 3 :]
-    terms: dict[LabelledRootedTree, int] = {}
-    arity = None
-    for sgn, chunk in chunks:
-        coeff_text, _, tree_text = chunk.partition("*")
-        if not tree_text:
-            raise TreeError(f"malformed term {chunk!r}")
-        tree = parse_tree(tree_text)
-        if arity is None:
-            arity = tree.n
-        terms[tree] = terms.get(tree, 0) + sgn * int(coeff_text)
-    assert arity is not None
-    return TreeSum(arity, terms)
-
-
 def compose_pl(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> TreeSum:
@@ -293,6 +260,8 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     composition terms must attain the exact bounds, each at exactly one
     graft map, namely the extremal maps.  Returns failure descriptions.
     """
+    if max_arity < 2:
+        raise TreeError("max_arity must be at least 2")
     failures: list[str] = []
     basis = {n: list(enumerate_trees(n)) for n in range(1, max_arity + 1)}
     for n in range(1, max_arity + 1):

@@ -28,10 +28,10 @@ class LabelledRootedTree:
 
     A standard tree is keyed by its parent tuple (``par[v - 1]`` is the
     parent of v, 0 marks the root), any other by its sorted items; the
-    parent dict and the children map are derived on first use.
+    parent dict is derived on first use.
     """
 
-    __slots__ = ("_key", "_par", "_root", "_parent", "_children", "_text")
+    __slots__ = ("_key", "_par", "_root", "_parent", "_text")
 
     def __init__(self, parent: Mapping[int, int | None]):
         if not parent:
@@ -63,7 +63,7 @@ class LabelledRootedTree:
         tree = cls.__new__(cls)
         tree._key = tree._par = par
         tree._root = root
-        tree._parent = tree._children = tree._text = None
+        tree._parent = tree._text = None
         return tree
 
     def _build(self, parent: dict[int, int | None], root: int) -> None:
@@ -76,19 +76,11 @@ class LabelledRootedTree:
             self._par = None
         self._parent = parent
         self._root = root
-        self._children = self._text = None
+        self._text = None
 
     def _parent_dict(self) -> dict[int, int | None]:
         self._parent = {v: p or None for v, p in enumerate(self._par, 1)}
         return self._parent
-
-    def _child_map(self) -> dict[int, tuple[int, ...]]:
-        # edges come in child-label order, so every child list is ascending
-        children: dict[int, list[int]] = {v: [] for v in self.labels}
-        for v, p in self.edges():
-            children[p].append(v)
-        self._children = {v: tuple(cs) for v, cs in children.items()}
-        return self._children
 
     @property
     def n(self) -> int:
@@ -117,10 +109,11 @@ class LabelledRootedTree:
             raise TreeError(f"no vertex labelled {v}") from None
 
     def children(self, v: int) -> tuple[int, ...]:
-        try:
-            return (self._children or self._child_map())[v]
-        except KeyError:
-            raise TreeError(f"no vertex labelled {v}") from None
+        """The children of v in ascending label order."""
+        if v not in self.labels:
+            raise TreeError(f"no vertex labelled {v}")
+        pairs = self._key if self._par is None else enumerate(self._par, 1)
+        return tuple([w for w, p in pairs if p == v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, ordered by child label."""
@@ -145,13 +138,16 @@ class LabelledRootedTree:
         return self._text
 
     def _render(self) -> str:
+        # edges come in child-label order, so every child list is ascending
+        children: dict[int, list[int]] = {}
+        for v, p in self.edges():
+            children.setdefault(p, []).append(v)
         # a stack of pending labels and punctuation, so depth is unbounded
-        children = self._children or self._child_map()
         out: list[str] = []
         stack: list[int | str] = [self._root]
         while stack:
             item = stack.pop()
-            cs = children[item] if type(item) is int else ()
+            cs = children.get(item, ())
             if not cs:
                 out.append(str(item))
                 continue

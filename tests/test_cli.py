@@ -3,7 +3,6 @@ import json
 import pytest
 
 from operad_forge.cli import main
-from operad_forge.prelie import parse_tree_sum
 from operad_forge.trees import parse_tree, tree_from_json
 
 
@@ -33,7 +32,6 @@ class TestCompose:
         code, out = run(capsys, "compose", "--operad", "pl", "-i", "2", "2(1,3)", "2(1)")
         assert code == 0
         assert out.strip() == "1*3(1,2(4)) + 1*3(1,2,4) + 1*3(2(1),4) + 1*3(2(1,4))"
-        assert len(parse_tree_sum(out.strip())) == 4
 
     def test_pl_json(self, capsys):
         code, out = run(
@@ -133,6 +131,21 @@ class TestVerify:
     def test_collisions(self, capsys, kind):
         code, out = run(capsys, "verify", "collisions", "--operad", kind, "-n", "3")
         assert code == 0 and out.startswith("collision")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "minmax --max-arity 1", "minmax --max-arity 0", "minmax --max-arity -2",
+            "collisions --operad min -n 1", "collisions --operad nap -n 0",
+            "collisions --operad min -n -2",
+        ],
+    )
+    def test_arity_below_two_is_usage_error(self, capsys, argv):
+        code = main(["verify", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_usage_error(self, capsys):
         assert main(["verify", "axioms", "--operad", "bogus"]) == 2

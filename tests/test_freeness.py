@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from operad_forge.trees import TreeError, enumerate_trees, parse_tree
+from operad_forge.trees import TreeError, enumerate_trees, order_relabel, parse_tree
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
 from operad_forge.freeness import (
     OperationTree,
@@ -52,6 +52,45 @@ def _block_root(x, a, m):
     from operad_forge.trees import restrict
 
     return restrict(x, range(a, a + m)).components[0].root
+
+
+def _composition_intervals(n):
+    """Literal definition: x -> {(i, i+m-1) : compose_max(t, i, s) == x}.
+
+    t and s range over all trees of arity at least 2 with t.n + s.n = n + 1.
+    """
+    intervals = {x: set() for x in enumerate_trees(n)}
+    for k in range(2, n):
+        m = n + 1 - k
+        for t in enumerate_trees(k):
+            for s in enumerate_trees(m):
+                for i in range(1, k + 1):
+                    intervals[compose_max(t, i, s)].add((i, i + m - 1))
+    return intervals
+
+
+class TestDifferentialOracle:
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_witnesses_are_the_composition_intervals(self, n):
+        for x, intervals in _composition_intervals(n).items():
+            ws = decomposition_witnesses(x)
+            assert {(w.a, w.b) for w in ws} == intervals
+            assert is_indecomposable(x) == (not intervals)
+
+
+class TestNonStandardTrees:
+    def test_every_entry_point_rejects(self):
+        tree = order_relabel(parse_tree("1(2)"), [2, 3])
+        with pytest.raises(TreeError):
+            decomposition_witnesses(tree)
+        with pytest.raises(TreeError):
+            is_indecomposable(tree)
+        with pytest.raises(TreeError):
+            split(tree, Witness(2, 3, 2))
+        with pytest.raises(TreeError):
+            factorize(tree)
 
 
 class TestIndecomposable:
@@ -202,3 +241,8 @@ class TestCollisions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TreeError):
             find_collision("bogus", 3)
+
+    @pytest.mark.parametrize("kind,n", [("min", 1), ("nap", 0), ("max", -2)])
+    def test_rejects_arity_below_two(self, kind, n):
+        with pytest.raises(TreeError):
+            find_collision(kind, n)

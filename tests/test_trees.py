@@ -37,6 +37,13 @@ class TestParseRender:
         assert t.root == 2
         assert t.children(2) == (1, 3)
 
+    def test_children_of_unknown_label(self):
+        piece = restrict(parse_tree(X_TEXT), [3, 4, 5]).components[0]
+        assert piece.children(5) == (3,) and piece.children(4) == ()
+        for t, v in [(parse_tree("2(1,3)"), 4), (parse_tree("2(1,3)"), 0), (piece, 1)]:
+            with pytest.raises(TreeError):
+                t.children(v)
+
     def test_eight_vertex_example(self):
         t = parse_tree(X_TEXT)
         assert t.n == 8
