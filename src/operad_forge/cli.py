@@ -56,8 +56,11 @@ def _threads_cap() -> int:
 
 def _input_trees(args) -> list:
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            return [parse_tree(line) for line in fh if line.strip()]
+        with open(args.input, encoding="utf-8") as fh:
+            try:
+                return [parse_tree(line) for line in fh if line.strip()]
+            except UnicodeDecodeError as exc:
+                raise TreeError(f"{args.input} is not UTF-8 text: {exc}") from None
     if not args.tree:
         raise TreeError("give a tree argument or --input FILE")
     return [parse_tree(args.tree)]

@@ -42,12 +42,17 @@ def _witness_at(tree: LabelledRootedTree, a: int, b: int) -> Optional[Witness]:
 
 
 def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
-    # the non-trivial witnesses, in lexicographic (a, b) order or its reverse
+    # the non-trivial witnesses, each before any witness that contains it:
+    # a contained interval either ends sooner or, ending at b, starts later
+    # (reverse: starts later or, starting at a, ends sooner)
     if not tree.is_standard:
         raise TreeError("decomposition is defined on standard trees")
     n = tree.n
-    intervals = list(itertools.combinations(range(1, n + 1), 2))
-    for a, b in reversed(intervals) if reverse else intervals:
+    if reverse:
+        intervals = ((a, b) for a in range(n - 1, 0, -1) for b in range(a + 1, n + 1))
+    else:
+        intervals = ((a, b) for b in range(2, n + 1) for a in range(b - 1, 0, -1))
+    for a, b in intervals:
         if (a, b) != (1, n):
             w = _witness_at(tree, a, b)
             if w is not None:
@@ -56,7 +61,7 @@ def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
 
 def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
     """All split witnesses, in lexicographic (a, b) order."""
-    return list(_scan(tree))
+    return sorted(_scan(tree))
 
 
 def is_indecomposable(tree: LabelledRootedTree) -> bool:
@@ -133,42 +138,24 @@ def evaluate(
     return result
 
 
-def _insert_at_input(
-    word: Optional[OperationTree], position: int, sub: OperationTree
-) -> OperationTree:
-    """Plug ``sub`` into the input at the given leaf position (1-based)."""
-    if word is None:
-        if position != 1:
-            raise TreeError("input position out of range")
-        return sub
-    offset = 0
-    for idx, slot in enumerate(word.slots):
-        width = 1 if slot is None else slot.arity
-        if offset < position <= offset + width:
-            new_slot = _insert_at_input(slot, position - offset, sub)
-            slots = word.slots[:idx] + (new_slot,) + word.slots[idx + 1 :]
-            return OperationTree(word.node, slots)
-        offset += width
-    raise TreeError("input position out of range")
-
-
 def factorize(
     tree: LabelledRootedTree, reverse_scan: bool = False
 ) -> OperationTree:
     """Express a tree as an operation tree over indecomposable generators.
 
-    Splits recursively at one witness per step; the scan order is a
-    tie-break only, since the full factorization is unique.
+    Contracts one innermost witness block per step: a block holding no
+    smaller witness is itself a generator, since a factored block
+    ``o o_a' i`` would make ``(outer o_a o) o_(a+a'-1) i`` a smaller
+    witness inside it.  The scan order is a tie-break only, since the
+    full factorization is unique.
     """
     if tree.n < 2:
         raise TreeError("only trees of arity >= 2 factorize")
-    w = next(_scan(tree, reverse_scan), None)
-    if w is None:
-        return OperationTree.leaf_node(tree)
-    outer, inner = split(tree, w)
-    return _insert_at_input(
-        factorize(outer, reverse_scan), w.a, factorize(inner, reverse_scan)
-    )
+    slots = [None] * tree.n  # the word standing at each input of what is left
+    while (w := next(_scan(tree, reverse_scan), None)) is not None:
+        tree, generator = split(tree, w)
+        slots[w.a - 1 : w.b] = [OperationTree(generator, tuple(slots[w.a - 1 : w.b]))]
+    return OperationTree(tree, tuple(slots))
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,9 +182,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def operation_trees(
-    n: int, min_generator_arity: int = 2
-) -> list[OperationTree]:
+def operation_trees(n: int) -> list[OperationTree]:
     """Every operation tree of total arity n over indecomposable generators.
 
     Deterministic order: by root generator arity, then generator, then
@@ -209,7 +194,7 @@ def operation_trees(
     @functools.lru_cache(maxsize=None)
     def rec(total: int) -> tuple[OperationTree, ...]:
         words = []
-        for k in range(max(2, min_generator_arity), total + 1):
+        for k in range(2, total + 1):
             for g in indecomposables(k):
                 for shape in _compositions(total, k):
                     options = [
@@ -242,9 +227,7 @@ def verify_freeness(n: int) -> FreenessReport:
     return FreenessReport(ok, len(words), len(images), expected)
 
 
-def find_collision(
-    kind: str, n: int, min_generator_arity: int = 2
-) -> Optional[tuple[OperationTree, OperationTree]]:
+def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, OperationTree]]:
     """Two distinct operation trees with equal evaluation, if any exist.
 
     kind selects the set composition used for evaluation (min or nap;
@@ -257,7 +240,7 @@ def find_collision(
         raise TreeError("collisions are searched at arity at least 2")
     compose = SET_COMPOSE[kind]
     seen: dict[LabelledRootedTree, OperationTree] = {}
-    for word in operation_trees(n, min_generator_arity):
+    for word in operation_trees(n):
         image = evaluate(word, compose)
         if image in seen:
             return seen[image], word

@@ -30,8 +30,8 @@ def _check_compose_args(
 ) -> None:
     if not (tree.is_standard and inserted.is_standard):
         raise TreeError("composition is defined on standard trees")
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
+    if type(i) is not int or not 1 <= i <= tree.n:
+        raise TreeError(f"position {i!r} out of range for arity {tree.n}")
 
 
 def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree):

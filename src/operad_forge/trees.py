@@ -103,6 +103,8 @@ class LabelledRootedTree:
         return self._par is not None
 
     def parent_of(self, v: int) -> int | None:
+        if type(v) is not int:
+            raise TreeError(f"no vertex labelled {v!r}")
         try:
             return (self._parent or self._parent_dict())[v]
         except KeyError:
@@ -110,8 +112,8 @@ class LabelledRootedTree:
 
     def children(self, v: int) -> tuple[int, ...]:
         """The children of v in ascending label order."""
-        if v not in self.labels:
-            raise TreeError(f"no vertex labelled {v}")
+        if type(v) is not int or v not in self.labels:
+            raise TreeError(f"no vertex labelled {v!r}")
         pairs = self._key if self._par is None else enumerate(self._par, 1)
         return tuple([w for w, p in pairs if p == v])
 

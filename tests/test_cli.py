@@ -75,6 +75,16 @@ class TestOtherCommands:
         code, out = run(capsys, "degree", "--input", str(path))
         assert code == 0 and out == f"{chain} 1199\n"
 
+    @pytest.mark.parametrize("command", ["degree", "factorize"])
+    def test_input_that_is_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\x00(\x002\x00)\x00\n")
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_minmax(self, capsys):
         code, out = run(capsys, "minmax", "-i", "2", "2(1,3)", "2(1)")
         assert code == 0

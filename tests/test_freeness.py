@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from operad_forge.trees import TreeError, enumerate_trees, order_relabel, parse_tree
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
@@ -18,6 +19,8 @@ from operad_forge.freeness import (
     split,
     verify_freeness,
 )
+
+from conftest import standard_trees
 
 X = parse_tree("6(5(1,2,3(4,7)),8)")
 
@@ -197,6 +200,30 @@ class TestFactorize:
             for x in enumerate_trees(n):
                 assert factorize(x) == factorize(x, reverse_scan=True)
 
+    def test_every_node_is_a_generator(self):
+        # contracting a block that still holds a smaller witness would
+        # leave a decomposable node and yet round-trip
+        for n in range(2, 6):
+            for x in enumerate_trees(n):
+                assert all(map(is_indecomposable, _nodes(factorize(x))))
+
+    @settings(deadline=None)
+    @given(standard_trees(min_n=2, max_n=40))
+    def test_unique_factorization_of_large_trees(self, x):
+        word = factorize(x)
+        assert evaluate(word) == x
+        assert word == factorize(x, reverse_scan=True)
+        assert all(map(is_indecomposable, _nodes(word)))
+
+
+def _nodes(word):
+    """The generators of an operation tree, in preorder."""
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        yield w.node
+        stack.extend(s for s in reversed(w.slots) if s is not None)
+
 
 class TestFreeness:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 9), (4, 64)])
@@ -228,11 +255,6 @@ class TestCollisions:
         texts = {str(w) for w in pair}
         assert texts == {"1(2)[2(1), _]", "2(1)[_, 1(2)]"}
         assert {evaluate(w, compose_nap) for w in pair} == {parse_tree("2(1,3)")}
-
-    def test_min_with_big_generators_only(self):
-        # at arity 4 the generators of arity >= 4 compose trivially:
-        # only single-node words exist, so no collision is possible
-        assert find_collision("min", 4, min_generator_arity=4) is None
 
     def test_max_never_collides_at_small_arity(self):
         for n in range(2, 7):

@@ -70,6 +70,16 @@ class TestGraftCompose:
         with pytest.raises(TreeError):
             graft_compose(FORK, 2, CHAIN, {1: 1, 3: 3})  # target out of range
 
+    @pytest.mark.parametrize(
+        "compose",
+        [compose_pl, compose_max, compose_min, compose_nap, degree_bounds],
+    )
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_rejects_position_that_is_not_an_int(self, compose, i):
+        mu = parse_tree("1(2)")
+        with pytest.raises(TreeError):
+            compose(mu, i, mu)
+
 
 class TestComposePl:
     def test_golden_expansion(self):

@@ -81,6 +81,20 @@ class TestParseRender:
         with pytest.raises(TreeError):
             LabelledRootedTree({1: None, 2: True})
 
+    @pytest.mark.parametrize("v", [True, False, 1.0, "1"])
+    def test_rejects_vertex_that_is_not_an_int(self, v):
+        t = parse_tree("1(2)")
+        queries = [
+            t.parent_of,
+            t.children,
+            lambda v: in_vertices(t, v),
+            lambda v: gap(t, v),
+            lambda v: epsilon(t, v, 2, 1),
+        ]
+        for query in queries:
+            with pytest.raises(TreeError):
+                query(v)
+
     def test_equality_is_parent_map_equality(self):
         a = LabelledRootedTree({2: None, 1: 2, 3: 2})
         b = parse_tree("2(1,3)")
