@@ -119,10 +119,21 @@ class OperationTree:
         return sum(1 if s is None else s.arity for s in self.slots)
 
     def __str__(self) -> str:
-        if all(s is None for s in self.slots):
-            return str(self.node)
-        inner = ", ".join("_" if s is None else str(s) for s in self.slots)
-        return f"{self.node}[{inner}]"
+        # a stack of pending words and punctuation, so depth is unbounded
+        out: list[str] = []
+        stack: list[OperationTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(str(item.node))
+            if any(s is not None for s in item.slots):
+                stack.append("]")
+                for s in reversed(item.slots):
+                    stack += ("_" if s is None else s, ", ")
+                stack[-1] = "["  # the separator before the first slot
+        return "".join(out)
 
 
 def evaluate(
@@ -171,17 +182,6 @@ def count_indecomposables(n: int) -> int:
     return len(indecomposables(n))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # ordered tuples of positive integers summing to total, lexicographic
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def operation_trees(n: int) -> list[OperationTree]:
     """Every operation tree of total arity n over indecomposable generators.
 
@@ -192,14 +192,16 @@ def operation_trees(n: int) -> list[OperationTree]:
         return []
 
     @functools.lru_cache(maxsize=None)
-    def rec(total: int) -> tuple[OperationTree, ...]:
+    def rec(total: int) -> tuple[Optional[OperationTree], ...]:
+        if total == 1:
+            return (None,)
         words = []
         for k in range(2, total + 1):
             for g in indecomposables(k):
-                for shape in _compositions(total, k):
-                    options = [
-                        (None,) if p == 1 else rec(p) for p in shape
-                    ]
+                # lexicographic cut points give lexicographic slot arities
+                for cuts in itertools.combinations(range(1, total), k - 1):
+                    ends = (0, *cuts, total)
+                    options = [rec(q - p) for p, q in itertools.pairwise(ends)]
                     words.extend(
                         OperationTree(g, combo)
                         for combo in itertools.product(*options)

@@ -77,8 +77,8 @@ def graft_compose(
     if f.keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
-        if not 1 <= target <= m:
-            raise TreeError(f"graft target {target} out of range for arity {m}")
+        if type(target) is not int or not 1 <= target <= m:
+            raise TreeError(f"graft target {target!r} out of range for arity {m}")
     return graft([f[k] for k in children])
 
 
@@ -263,31 +263,27 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     if max_arity < 2:
         raise TreeError("max_arity must be at least 2")
     failures: list[str] = []
-    basis = {n: list(enumerate_trees(n)) for n in range(1, max_arity + 1)}
-    for n in range(1, max_arity + 1):
-        for t in basis[n]:
-            for i in range(1, n + 1):
-                for m in range(1, max_arity + 1):
-                    for s in basis[m]:
-                        lo, hi = degree_bounds(t, i, s)
-                        graft, children = _graft_kernel(t, i, s)
-                        maps = itertools.product(range(1, m + 1), repeat=len(children))
-                        degs = [degree(graft(f)) for f in maps]
-                        ok = (
-                            min(degs) == lo
-                            and max(degs) == hi
-                            and degs.count(lo) == 1
-                            and degs.count(hi) == 1
-                            and degree(min_term(t, i, s)) == lo
-                            and degree(max_term(t, i, s)) == hi
-                        )
-                        # a degenerate spectrum is fine only when lo == hi
-                        if lo == hi:
-                            ok = len(degs) == 1 and degs[0] == lo
-                        if not ok:
-                            failures.append(
-                                f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
-                            )
+    basis = [t for n in range(1, max_arity + 1) for t in enumerate_trees(n)]
+    for t in basis:
+        for i in range(1, t.n + 1):
+            for s in basis:
+                lo, hi = degree_bounds(t, i, s)
+                graft, children = _graft_kernel(t, i, s)
+                maps = itertools.product(range(1, s.n + 1), repeat=len(children))
+                degs = [degree(graft(f)) for f in maps]
+                # one graft map at least, so lo == hi forces a single degree
+                ok = (
+                    min(degs) == lo
+                    and max(degs) == hi
+                    and degs.count(lo) == 1
+                    and degs.count(hi) == 1
+                    and degree(min_term(t, i, s)) == lo
+                    and degree(max_term(t, i, s)) == hi
+                )
+                if not ok:
+                    failures.append(
+                        f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
+                    )
     return failures
 
 

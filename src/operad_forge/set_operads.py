@@ -12,6 +12,7 @@ for the full linearized composition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,50 +100,30 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
     unit = basis[1][0]
     violations: list[Violation] = []
 
+    def check(axiom, a, b, c, i, j, lhs, rhs) -> None:
+        if lhs != rhs:
+            violations.append(
+                Violation(axiom, str(a), str(b), str(c), i, j, str(lhs), str(rhs))
+            )
+
     # unit laws
     for n in arities:
         for a in basis[n]:
-            lhs = at[unit, a][0]
-            if lhs != a:
-                violations.append(
-                    Violation("unitL", str(a), "1", "-", 1, 0, str(lhs), str(a))
-                )
+            check("unitL", a, "1", "-", 1, 0, at[unit, a][0], a)
             for i in range(1, n + 1):
-                lhs = at[a, unit][i - 1]
-                if lhs != a:
-                    violations.append(
-                        Violation("unitR", str(a), "1", "-", i, 0, str(lhs), str(a))
-                    )
-
+                check("unitR", a, "1", "-", i, 0, at[a, unit][i - 1], a)
     # associativity, sequential and parallel
-    for n in arities:
-        for m in arities:
-            for ell in arities:
-                for a in basis[n]:
-                    for b in basis[m]:
-                        ab_at = at[a, b]
-                        for c in basis[ell]:
-                            bc_at, ac_at = at[b, c], at[a, c]
-                            for i in range(1, n + 1):
-                                ab = ab_at[i - 1]
-                                for j in range(1, m + 1):
-                                    lhs = compose(ab, j + i - 1, c)
-                                    rhs = compose(a, i, bc_at[j - 1])
-                                    if lhs != rhs:
-                                        violations.append(
-                                            Violation(
-                                                "seq", str(a), str(b), str(c),
-                                                i, j, str(lhs), str(rhs),
-                                            )
-                                        )
-                                for j in range(1, i):
-                                    lhs = compose(ab, j, c)
-                                    rhs = compose(ac_at[j - 1], i + ell - 1, b)
-                                    if lhs != rhs:
-                                        violations.append(
-                                            Violation(
-                                                "par", str(a), str(b), str(c),
-                                                i, j, str(lhs), str(rhs),
-                                            )
-                                        )
+    for n, m, ell in itertools.product(arities, repeat=3):
+        for a, b, c in itertools.product(basis[n], basis[m], basis[ell]):
+            ab_at, bc_at, ac_at = at[a, b], at[b, c], at[a, c]
+            for i in range(1, n + 1):
+                ab = ab_at[i - 1]
+                for j in range(1, m + 1):
+                    lhs = compose(ab, j + i - 1, c)
+                    rhs = compose(a, i, bc_at[j - 1])
+                    check("seq", a, b, c, i, j, lhs, rhs)
+                for j in range(1, i):
+                    lhs = compose(ab, j, c)
+                    rhs = compose(ac_at[j - 1], i + ell - 1, b)
+                    check("par", a, b, c, i, j, lhs, rhs)
     return violations

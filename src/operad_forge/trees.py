@@ -251,18 +251,20 @@ def tree_from_json(text: str) -> LabelledRootedTree:
     )
 
 
-def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    # linear-time decode of a Prüfer sequence over [n] into tree edges
+def _prufer_parents(seq: Sequence[int], n: int) -> list[int]:
+    # linear-time decode of a Prüfer sequence over [n]: each removed leaf
+    # hangs off its neighbour and n is never removed, so the parent list
+    # (par[v - 1] the parent of v, 0 the root) comes out rooted at n
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
-    edges = []
+    par = [0] * n
     idx = 1
     while degree[idx] != 1:
         idx += 1
     leaf = idx
     for v in seq:
-        edges.append((leaf, v))
+        par[leaf - 1] = v
         degree[v] -= 1
         if degree[v] == 1 and v < idx:
             leaf = v
@@ -271,32 +273,25 @@ def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
             while degree[idx] != 1:
                 idx += 1
             leaf = idx
-    edges.append((leaf, n))
-    return edges
+    par[leaf - 1] = n
+    return par
 
 
-def _rooted(edges: list[tuple[int, int]], n: int, root: int) -> LabelledRootedTree:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    par = [-1] * (n + 1)  # -1 marks a vertex not reached yet
-    par[root] = 0
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if par[w] < 0:
-                par[w] = v
-                stack.append(w)
-    return LabelledRootedTree._from_par(tuple(par[1:]), root)
+def _reroot(par: list[int], root: int) -> LabelledRootedTree:
+    # reverse the one path from root up to the current root
+    out = par[:]
+    v, p = root, 0
+    while v:
+        out[v - 1], v, p = p, par[v - 1], v
+    return LabelledRootedTree._from_par(tuple(out), root)
 
 
 def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
     """Yield every standard tree on n vertices exactly once (n^(n-1) of them).
 
-    Uses the Prüfer bijection for the underlying free tree and then every
-    choice of root, so the stream is duplicate-free by construction.
+    Each Prüfer sequence decodes to one free tree, rooted at n, which is
+    then re-rooted at every vertex: the stream is duplicate-free by
+    construction.
     """
     if n < 1:
         raise TreeError("arity must be at least 1")
@@ -304,9 +299,9 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
         yield LabelledRootedTree({1: None})
         return
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        edges = _prufer_edges(seq, n)
+        par = _prufer_parents(seq, n)
         for root in range(1, n + 1):
-            yield _rooted(edges, n, root)
+            yield _reroot(par, root)
 
 
 def degree(tree: LabelledRootedTree) -> int:

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 
-from operad_forge.trees import LabelledRootedTree, _prufer_edges, _rooted
+from operad_forge.trees import LabelledRootedTree, _prufer_parents, _reroot
 
 
 @st.composite
@@ -15,4 +15,4 @@ def standard_trees(draw, min_n=1, max_n=7):
         )
     )
     root = draw(st.integers(min_value=1, max_value=n))
-    return _rooted(_prufer_edges(seq, n), n, root)
+    return _reroot(_prufer_parents(seq, n), root)

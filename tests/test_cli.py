@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,16 @@ class TestEnumerate:
         assert code == code2 == 0
         assert out == out2
         assert len(out.splitlines()) == 9
+        assert out.splitlines() == [
+            "1(2,3)", "2(1(3))", "3(1(2))", "1(2(3))", "2(1,3)",
+            "3(2(1))", "1(3(2))", "2(3(1))", "3(1,2)",
+        ]
+
+    def test_order_at_arity_five(self, capsys):
+        code, out = run(capsys, "enumerate", "-n", "5")
+        assert code == 0 and len(out.splitlines()) == 625
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "02b9ca2965625c9c867b1d4de1bf620f165401d33552675a9189101e6cef1d57"
 
     def test_json_roundtrip(self, capsys):
         code, out = run(capsys, "enumerate", "-n", "3", "--json")
@@ -74,6 +85,14 @@ class TestOtherCommands:
         path.write_text(chain + "\n")
         code, out = run(capsys, "degree", "--input", str(path))
         assert code == 0 and out == f"{chain} 1199\n"
+
+    def test_factorize_deep_chain(self, capsys, tmp_path):
+        chain = "(".join(str(v) for v in range(1200, 0, -1)) + ")" * 1199
+        path = tmp_path / "chain.txt"
+        path.write_text(chain + "\n")
+        code, out = run(capsys, "factorize", "--input", str(path))
+        assert code == 0
+        assert out == "2(1)[" * 1198 + "2(1)" + ", _]" * 1198 + "\n"
 
     @pytest.mark.parametrize("command", ["degree", "factorize"])
     def test_input_that_is_not_utf8(self, capsys, tmp_path, command):

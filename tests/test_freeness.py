@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -174,6 +175,12 @@ class TestOperationTrees:
     def test_enumeration_counts_match_cayley(self):
         for n in range(2, 6):
             assert len(operation_trees(n)) == n ** (n - 1)
+
+    def test_enumeration_order(self):
+        words = [str(w) for w in operation_trees(4)]
+        assert words[:2] == ["1(2)[_, 1(2)[_, 1(2)]]", "1(2)[_, 1(2)[_, 2(1)]]"]
+        digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+        assert digest == "1fd088461c8df559485ee8bf880a2aa72df4595113ff3412934687b6b17460a1"
 
 
 class TestFactorize:

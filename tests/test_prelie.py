@@ -40,6 +40,8 @@ from operad_forge.set_operads import (
     f_nap_map,
 )
 
+from operad_forge import prelie
+
 from conftest import standard_trees
 
 FORK = parse_tree("2(1,3)")
@@ -69,6 +71,11 @@ class TestGraftCompose:
             graft_compose(FORK, 2, CHAIN, {1: 1})  # not total
         with pytest.raises(TreeError):
             graft_compose(FORK, 2, CHAIN, {1: 1, 3: 3})  # target out of range
+
+    @pytest.mark.parametrize("target", [1.5, "1", True])
+    def test_rejects_target_that_is_not_an_int(self, target):
+        with pytest.raises(TreeError):
+            graft_compose(FORK, 2, parse_tree("1(2(3))"), {1: target, 3: 1})
 
     @pytest.mark.parametrize(
         "compose",
@@ -195,6 +202,12 @@ class TestExtremalTerms:
 
     def test_exhaustive_small(self):
         assert check_extremal_terms(3) == []
+
+    def test_failures_are_reported_in_loop_order(self, monkeypatch):
+        monkeypatch.setattr(prelie, "max_term", prelie.min_term)
+        failures = check_extremal_terms(3)
+        assert len(failures) == 187
+        assert failures[0] == "T=1(2) i=1 S=1(2) bounds=(2,3) degrees=[2, 3]"
 
     @pytest.mark.parametrize("max_arity", [1, 0, -2])
     def test_rejects_arity_below_two(self, max_arity):
