@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .trees import LabelledRootedTree, TreeError, enumerate_trees, restrict
@@ -93,30 +93,41 @@ def split(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OperationTree:
     """A planar word in the free operad: a generator with one slot per input.
 
     Each slot is either None (a plain input) or a nested OperationTree.
     Generators have arity >= 2, so the word is automatically reduced.
+    Words compare and hash by their canonical text, so depth is unbounded.
     """
 
     node: LabelledRootedTree
     slots: tuple[Optional["OperationTree"], ...]
+    arity: int = field(init=False)
 
     def __post_init__(self):
         if len(self.slots) != self.node.n:
             raise TreeError(
                 f"generator {self.node} needs {self.node.n} slots, got {len(self.slots)}"
             )
+        arity = sum(1 if s is None else s.arity for s in self.slots)
+        object.__setattr__(self, "arity", arity)
 
     @classmethod
     def leaf_node(cls, generator: LabelledRootedTree) -> "OperationTree":
         return cls(generator, (None,) * generator.n)
 
-    @property
-    def arity(self) -> int:
-        return sum(1 if s is None else s.arity for s in self.slots)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperationTree):
+            return NotImplemented
+        return str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+    def __repr__(self) -> str:
+        return f"OperationTree({self!s})"
 
     def __str__(self) -> str:
         # a stack of pending words and punctuation, so depth is unbounded

@@ -27,11 +27,10 @@ class LabelledRootedTree:
     :func:`order_relabel`.
 
     A standard tree is keyed by its parent tuple (``par[v - 1]`` is the
-    parent of v, 0 marks the root), any other by its sorted items; the
-    parent dict is derived on first use.
+    parent of v, 0 marks the root), any other by its sorted items.
     """
 
-    __slots__ = ("_key", "_par", "_root", "_parent", "_text")
+    __slots__ = ("_key", "_par", "_root")
 
     def __init__(self, parent: Mapping[int, int | None]):
         if not parent:
@@ -44,7 +43,6 @@ class LabelledRootedTree:
                 raise TreeError(f"bad label {v!r}: labels are positive integers")
             if p is not None and (type(p) is not int or p not in parent):
                 raise TreeError(f"vertex {v} has parent {p} outside the label set")
-        parent = dict(parent)
         # connectivity: every vertex must reach the root along parent links
         seen = {roots[0]}
         for v in parent:
@@ -55,18 +53,6 @@ class LabelledRootedTree:
                 if v is None or len(path) > len(parent):
                     raise TreeError("parent links do not reach the root")
             seen.update(path)
-        self._build(parent, roots[0])
-
-    @classmethod
-    def _from_par(cls, par: tuple[int, ...], root: int) -> "LabelledRootedTree":
-        # internal fast path: the caller guarantees a valid parent tuple
-        tree = cls.__new__(cls)
-        tree._key = tree._par = par
-        tree._root = root
-        tree._parent = tree._text = None
-        return tree
-
-    def _build(self, parent: dict[int, int | None], root: int) -> None:
         n = len(parent)
         # n distinct positive labels are 1..n exactly when the largest is n
         if max(parent) == n:
@@ -74,13 +60,15 @@ class LabelledRootedTree:
         else:
             self._key = tuple(sorted(parent.items()))
             self._par = None
-        self._parent = parent
-        self._root = root
-        self._text = None
+        self._root = roots[0]
 
-    def _parent_dict(self) -> dict[int, int | None]:
-        self._parent = {v: p or None for v, p in enumerate(self._par, 1)}
-        return self._parent
+    @classmethod
+    def _from_par(cls, par: tuple[int, ...], root: int) -> "LabelledRootedTree":
+        # internal fast path: the caller guarantees a valid parent tuple
+        tree = cls.__new__(cls)
+        tree._key = tree._par = par
+        tree._root = root
+        return tree
 
     @property
     def n(self) -> int:
@@ -103,12 +91,14 @@ class LabelledRootedTree:
         return self._par is not None
 
     def parent_of(self, v: int) -> int | None:
-        if type(v) is not int:
-            raise TreeError(f"no vertex labelled {v!r}")
-        try:
-            return (self._parent or self._parent_dict())[v]
-        except KeyError:
-            raise TreeError(f"no vertex labelled {v}") from None
+        if type(v) is int:
+            if self._par is None:
+                parent = dict(self._key)
+                if v in parent:
+                    return parent[v]
+            elif 0 < v <= len(self._par):  # par[-1] would answer for v = 0
+                return self._par[v - 1] or None
+        raise TreeError(f"no vertex labelled {v!r}")
 
     def children(self, v: int) -> tuple[int, ...]:
         """The children of v in ascending label order."""
@@ -124,7 +114,9 @@ class LabelledRootedTree:
         return [(v, p) for v, p in self._key if p is not None]
 
     def parent_map(self) -> dict[int, int | None]:
-        return dict(self._parent or self._parent_dict())
+        if self._par is None:
+            return dict(self._key)
+        return {v: p or None for v, p in enumerate(self._par, 1)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelledRootedTree):
@@ -135,11 +127,6 @@ class LabelledRootedTree:
         return hash(self._key)
 
     def __str__(self) -> str:
-        if self._text is None:
-            self._text = self._render()
-        return self._text
-
-    def _render(self) -> str:
         # edges come in child-label order, so every child list is ascending
         children: dict[int, list[int]] = {}
         for v, p in self.edges():
@@ -326,25 +313,18 @@ def restrict(tree: LabelledRootedTree, keep: Sequence[int] | set[int]) -> Forest
     foreign = kept - set(tree.labels)
     if foreign:
         raise TreeError(f"labels {sorted(foreign)} are not in the tree")
-    maps: dict[int, dict[int, int | None]] = {}
-
-    def component_root(v: int) -> int:
-        # walk up until the parent leaves the kept set
-        while True:
-            p = tree.parent_of(v)
-            if p is None or p not in kept:
-                return v
-            v = p
-
-    roots = {v: component_root(v) for v in kept}
+    # the induced parent map: a kept vertex whose parent is not kept is a root
+    induced: dict[int, int | None] = {}
     for v in kept:
-        r = roots[v]
         p = tree.parent_of(v)
-        maps.setdefault(r, {})[v] = p if (v != r and p in kept) else None
-    components = tuple(
-        LabelledRootedTree(maps[r]) for r in sorted(maps)
-    )
-    return Forest(components)
+        induced[v] = p if p in kept else None
+    maps: dict[int, dict[int, int | None]] = {}
+    for v, p in induced.items():
+        r = v
+        while induced[r] is not None:
+            r = induced[r]  # type: ignore[assignment]
+        maps.setdefault(r, {})[v] = p
+    return Forest(tuple(LabelledRootedTree(maps[r]) for r in sorted(maps)))
 
 
 def full_subtree(tree: LabelledRootedTree, c: int) -> LabelledRootedTree:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -145,6 +146,13 @@ class TestSplit:
                     t, s = split(x, w)
                     assert compose_max(t, w.a, s) == x
 
+    @settings(deadline=None)
+    @given(standard_trees(max_n=20), standard_trees(max_n=20), st.data())
+    def test_split_inverts_compose_max(self, o, s, data):
+        a = data.draw(st.integers(min_value=1, max_value=o.n))
+        w = Witness(a, a + s.n - 1, s.root + a - 1)
+        assert split(compose_max(o, a, s), w) == (o, s)
+
     def test_invalid_witness_rejected(self):
         with pytest.raises(TreeError):
             split(X, Witness(1, 2, 1))
@@ -213,6 +221,19 @@ class TestFactorize:
         for n in range(2, 6):
             for x in enumerate_trees(n):
                 assert all(map(is_indecomposable, _nodes(factorize(x))))
+
+    @pytest.mark.slow
+    def test_scan_order_independence_arity_six(self):
+        for x in enumerate_trees(6):
+            assert factorize(x) == factorize(x, reverse_scan=True)
+
+    def test_word_of_deep_chain(self):
+        # every word operation is iterative: 1200 nesting levels
+        chain = "(".join(str(v) for v in range(1200, 0, -1)) + ")" * 1199
+        word, again = factorize(parse_tree(chain)), factorize(parse_tree(chain))
+        assert word.arity == again.arity == 1200
+        assert word == again and hash(word) == hash(again)
+        assert repr(word).startswith("OperationTree(")
 
     @settings(deadline=None)
     @given(standard_trees(min_n=2, max_n=40))

@@ -230,6 +230,14 @@ class TestExtremalTerms:
             degs = [degree(u) for u in compose_pl(t, i, s).trees()]
             assert min(degs) == lo and max(degs) == hi
 
+    @settings(deadline=None)
+    @given(standard_trees(max_n=20), standard_trees(max_n=20), st.data())
+    def test_extremal_terms_attain_bounds(self, t, s, data):
+        # compose_pl has too many terms at this size: check the two ends
+        i = data.draw(st.integers(min_value=1, max_value=t.n))
+        lo, hi = degree_bounds(t, i, s)
+        assert degree(min_term(t, i, s)) == lo and degree(max_term(t, i, s)) == hi
+
 
 class TestPreLieRelation:
     def test_relation_holds(self):

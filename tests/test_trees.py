@@ -40,9 +40,14 @@ class TestParseRender:
     def test_children_of_unknown_label(self):
         piece = restrict(parse_tree(X_TEXT), [3, 4, 5]).components[0]
         assert piece.children(5) == (3,) and piece.children(4) == ()
-        for t, v in [(parse_tree("2(1,3)"), 4), (parse_tree("2(1,3)"), 0), (piece, 1)]:
-            with pytest.raises(TreeError):
-                t.children(v)
+        assert piece.parent_map() == {3: 5, 4: 3, 5: None}
+        fork = parse_tree("2(1,3)")
+        # 0 and -1 would index the parent tuple from its end
+        for t, v in [(fork, 4), (fork, 0), (fork, -1), (piece, 1), (piece, 0)]:
+            gap_at, epsilon_at = (lambda v: gap(t, v)), (lambda v: epsilon(t, v, 2, 1))
+            for query in (t.children, t.parent_of, gap_at, epsilon_at):
+                with pytest.raises(TreeError):
+                    query(v)
 
     def test_eight_vertex_example(self):
         t = parse_tree(X_TEXT)
