@@ -31,14 +31,14 @@ class Witness(NamedTuple):
 def _witness_at(tree: LabelledRootedTree, a: int, b: int) -> Optional[Witness]:
     # (i) the interval induces a single connected block, rooted at c
     block = restrict(tree, range(a, b + 1))
-    if len(block.components) != 1:
+    if len(block) != 1:
         return None
     # (ii) a vertex outside the interval with its parent inside hangs off b
     # when it lies below a, and off a when it lies above b
     for v, p in enumerate(tree._par, 1):
         if a <= p <= b and not a <= v <= b and p != (b if v < a else a):
             return None
-    return Witness(a, b, block.components[0].root)
+    return Witness(a, b, block[0].root)
 
 
 def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
@@ -113,10 +113,6 @@ class OperationTree:
             )
         arity = sum(1 if s is None else s.arity for s in self.slots)
         object.__setattr__(self, "arity", arity)
-
-    @classmethod
-    def leaf_node(cls, generator: LabelledRootedTree) -> "OperationTree":
-        return cls(generator, (None,) * generator.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationTree):

@@ -93,15 +93,11 @@ def graft_maps(
 
 def f_min_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex 1, children above onto vertex m."""
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
     return {k: (1 if k < i else m) for k in tree.children(i)}
 
 
 def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex m, children above onto vertex 1."""
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
     return {k: (m if k < i else 1) for k in tree.children(i)}
 
 

@@ -45,7 +45,7 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> int:
-        return self.coeffs[n] if n <= self.order else 0
+        return self.coeffs[n] if 0 <= n <= self.order else 0
 
     def truncate(self, order: int) -> "PowerSeries":
         return PowerSeries.from_list(self.coeffs, order)
@@ -136,6 +136,13 @@ def generator_series(order: int) -> PowerSeries:
 def verify_functional_equation(
     alpha: PowerSeries, beta: PowerSeries, order: int
 ) -> bool:
-    """Coefficientwise check of beta(alpha(x)) + x = alpha(x) up to order."""
+    """Coefficientwise check of beta(alpha(x)) + x = alpha(x) up to order.
+
+    The order may not exceed either series' own: padding with zeros
+    would test coefficients neither series knows.
+    """
+    top = min(alpha.order, beta.order)
+    if order > top:
+        raise SeriesError(f"order {order} is above the series order {top}")
     lhs = beta.truncate(order).compose(alpha.truncate(order)) + PowerSeries.identity(order)
     return lhs == alpha.truncate(order)

@@ -20,8 +20,6 @@ from .trees import LabelledRootedTree, TreeError, enumerate_trees
 from .prelie import (
     TreeSum,
     compose_pl_linear,
-    f_max_map,  # noqa: F401 (re-exported)
-    f_min_map,  # noqa: F401 (re-exported)
     graft_compose,
     max_term,
     min_term,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class TreeError(ValueError):
@@ -151,16 +150,6 @@ class LabelledRootedTree:
         return f"LabelledRootedTree({self!s})"
 
 
-@dataclass(frozen=True)
-class Forest:
-    """Disjoint rooted trees over disjoint label sets, sorted by root label."""
-
-    components: tuple[LabelledRootedTree, ...]
-
-    def __str__(self) -> str:
-        return " | ".join(str(c) for c in self.components)
-
-
 def parse_tree(text: str) -> LabelledRootedTree:
     """Parse the canonical ``label(children,...)`` form into a standard tree.
 
@@ -205,11 +194,6 @@ def parse_tree(text: str) -> LabelledRootedTree:
     if sorted(parent) != list(range(1, len(parent) + 1)):
         raise TreeError(f"labels must be exactly 1..{len(parent)} in {text!r}")
     return LabelledRootedTree(parent)
-
-
-def render_tree(tree: LabelledRootedTree) -> str:
-    """Canonical text with children in ascending label order."""
-    return str(tree)
 
 
 def tree_to_json(tree: LabelledRootedTree) -> str:
@@ -296,16 +280,11 @@ def degree(tree: LabelledRootedTree) -> int:
     return sum(abs(v - p) for v, p in tree.edges())
 
 
-def in_vertices(tree: LabelledRootedTree, i: int) -> frozenset[int]:
-    """The children of vertex i."""
-    return frozenset(tree.children(i))
+def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRootedTree, ...]:
+    """The components of the induced forest on the kept labels.
 
-
-def restrict(tree: LabelledRootedTree, keep: Sequence[int] | set[int]) -> Forest:
-    """Induced forest on the kept labels.
-
-    Each component is rooted at its vertex closest to the ambient root;
-    labels are preserved.
+    Components are sorted by root label, and each is rooted at its
+    vertex closest to the ambient root; labels are preserved.
     """
     kept = set(keep)
     if not kept:
@@ -324,7 +303,7 @@ def restrict(tree: LabelledRootedTree, keep: Sequence[int] | set[int]) -> Forest
         while induced[r] is not None:
             r = induced[r]  # type: ignore[assignment]
         maps.setdefault(r, {})[v] = p
-    return Forest(tuple(LabelledRootedTree(maps[r]) for r in sorted(maps)))
+    return tuple(LabelledRootedTree(maps[r]) for r in sorted(maps))
 
 
 def full_subtree(tree: LabelledRootedTree, c: int) -> LabelledRootedTree:
@@ -344,9 +323,9 @@ def order_relabel(
 ) -> LabelledRootedTree:
     """Relabel by the unique order-preserving bijection onto ``target``."""
     source = tree.labels
-    tgt = sorted(target)
-    if len(tgt) != len(source):
-        raise TreeError(f"target has {len(tgt)} labels, tree has {len(source)}")
+    tgt = sorted(set(target))
+    if len(tgt) != len(target) or len(tgt) != len(source):
+        raise TreeError(f"target needs {len(source)} distinct labels, got {list(target)}")
     phi = dict(zip(source, tgt))
     return LabelledRootedTree(
         {phi[v]: (phi[p] if p is not None else None) for v, p in tree.parent_map().items()}

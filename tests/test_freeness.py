@@ -56,7 +56,7 @@ class TestWitnesses:
 def _block_root(x, a, m):
     from operad_forge.trees import restrict
 
-    return restrict(x, range(a, a + m)).components[0].root
+    return restrict(x, range(a, a + m))[0].root
 
 
 def _composition_intervals(n):
@@ -161,7 +161,7 @@ class TestSplit:
 class TestOperationTrees:
     def test_structural_equality(self):
         mu = parse_tree("1(2)")
-        single = OperationTree.leaf_node(mu)
+        single = OperationTree(mu, (None, None))
         nested = OperationTree(mu, (None, single))
         assert nested != OperationTree(mu, (single, None))
         assert nested.arity == 3
@@ -169,15 +169,15 @@ class TestOperationTrees:
     def test_text_format(self):
         mu = parse_tree("1(2)")
         fork = parse_tree("2(1,3)")
-        word = OperationTree(fork, (None, OperationTree.leaf_node(mu), None))
+        word = OperationTree(fork, (None, OperationTree(mu, (None, None)), None))
         assert str(word) == "2(1,3)[_, 1(2), _]"
-        assert str(OperationTree.leaf_node(fork)) == "2(1,3)"
+        assert str(OperationTree(fork, (None, None, None))) == "2(1,3)"
 
     def test_evaluate_single_node_and_slot(self):
         fork = parse_tree("2(1,3)")
         mu = parse_tree("1(2)")
-        assert evaluate(OperationTree.leaf_node(fork)) == fork
-        word = OperationTree(fork, (None, OperationTree.leaf_node(mu), None))
+        assert evaluate(OperationTree(fork, (None, None, None))) == fork
+        word = OperationTree(fork, (None, OperationTree(mu, (None, None)), None))
         assert evaluate(word) == compose_max(fork, 2, mu)
 
     def test_enumeration_counts_match_cayley(self):
@@ -194,11 +194,11 @@ class TestOperationTrees:
 class TestFactorize:
     def test_indecomposable_is_single_node(self):
         fork = parse_tree("2(1,3)")
-        assert factorize(fork) == OperationTree.leaf_node(fork)
+        assert factorize(fork) == OperationTree(fork, (None, None, None))
 
     def test_chain_factorization(self):
         mu = parse_tree("1(2)")
-        expected = OperationTree(mu, (None, OperationTree.leaf_node(mu)))
+        expected = OperationTree(mu, (None, OperationTree(mu, (None, None))))
         assert factorize(parse_tree("1(2(3))")) == expected
 
     def test_golden_example_evaluates_back(self):

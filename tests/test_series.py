@@ -36,6 +36,11 @@ class TestRingOperations:
     def test_add_truncates_to_common_order(self):
         assert (series(1, 2, 3) + series(1, 1)).coeffs == (2, 3)
 
+    def test_coefficient_outside_the_stored_range_is_zero(self):
+        # a negative index must not read the tuple from its end
+        g = PowerSeries((0, 1, 2))
+        assert [g.coefficient(n) for n in (-1, -3, 0, 2, 3)] == [0, 0, 0, 2, 0]
+
 
 class TestCompositionalInverse:
     def test_identity(self):
@@ -82,6 +87,14 @@ class TestGeneratorSeries:
         beta = generator_series(9)
         bent = PowerSeries(beta.coeffs[:2] + (beta.coeffs[2] + 1,) + beta.coeffs[3:])
         assert not verify_functional_equation(alpha, bent, 9)
+
+    def test_order_above_either_series_is_rejected(self):
+        # zero padding past order 5 would make this correct pair fail
+        alpha, beta = cayley_series(5), generator_series(5)
+        assert verify_functional_equation(alpha, beta, 5)
+        for lhs, rhs in [(alpha, beta), (cayley_series(8), beta), (alpha, generator_series(8))]:
+            with pytest.raises(SeriesError):
+                verify_functional_equation(lhs, rhs, 8)
 
 
 class TestAgainstBruteForce:

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from operad_forge.trees import degree, enumerate_trees, in_vertices, parse_tree
-from operad_forge.prelie import degree_bounds, graft_compose
+from operad_forge.trees import TreeError, degree, enumerate_trees, parse_tree
+from operad_forge.prelie import degree_bounds, f_max_map, f_min_map, graft_compose
 from operad_forge.set_operads import (
     SET_COMPOSE,
     Violation,
@@ -11,8 +11,6 @@ from operad_forge.set_operads import (
     compose_max,
     compose_min,
     compose_nap,
-    f_max_map,
-    f_min_map,
     f_nap_map,
 )
 
@@ -23,6 +21,11 @@ class TestGraftMapChoices:
     def test_extremal_maps(self):
         assert f_max_map(FORK, 2, 2) == {1: 2, 3: 1}
         assert f_min_map(FORK, 2, 2) == {1: 1, 3: 2}
+        # an out-of-range position has no children to map
+        for graft_map in (f_max_map, f_min_map):
+            for i in (0, 4):
+                with pytest.raises(TreeError):
+                    graft_map(FORK, i, 2)
 
     def test_nap_is_constant_at_root(self):
         assert f_nap_map(FORK, 2, parse_tree("2(1)")) == {1: 2, 3: 2}
@@ -52,7 +55,7 @@ class TestCompositions:
             for t in enumerate_trees(n):
                 for i in range(1, n + 1):
                     assert compose_min(t, i, unit) == compose_max(t, i, unit)
-                    if not in_vertices(t, i):
+                    if not t.children(i):
                         s = parse_tree("2(1)")
                         assert compose_min(t, i, s) == compose_max(t, i, s)
 

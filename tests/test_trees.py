@@ -13,10 +13,8 @@ from operad_forge.trees import (
     epsilon,
     full_subtree,
     gap,
-    in_vertices,
     order_relabel,
     parse_tree,
-    render_tree,
     restrict,
     tree_from_json,
     tree_to_json,
@@ -38,7 +36,7 @@ class TestParseRender:
         assert t.children(2) == (1, 3)
 
     def test_children_of_unknown_label(self):
-        piece = restrict(parse_tree(X_TEXT), [3, 4, 5]).components[0]
+        piece = restrict(parse_tree(X_TEXT), [3, 4, 5])[0]
         assert piece.children(5) == (3,) and piece.children(4) == ()
         assert piece.parent_map() == {3: 5, 4: 3, 5: None}
         fork = parse_tree("2(1,3)")
@@ -52,11 +50,11 @@ class TestParseRender:
     def test_eight_vertex_example(self):
         t = parse_tree(X_TEXT)
         assert t.n == 8
-        assert render_tree(t) == X_TEXT
+        assert str(t) == X_TEXT
 
     def test_children_sorted_canonically(self):
-        assert render_tree(parse_tree("2(3,1)")) == "2(1,3)"
-        assert render_tree(parse_tree("1(2)")) == "1(2)"
+        assert str(parse_tree("2(3,1)")) == "2(1,3)"
+        assert str(parse_tree("1(2)")) == "1(2)"
 
     @pytest.mark.parametrize(
         "bad",
@@ -72,13 +70,13 @@ class TestParseRender:
     def test_roundtrip_all_small_trees(self):
         for n in range(1, 6):
             for t in enumerate_trees(n):
-                assert parse_tree(render_tree(t)) == t
+                assert parse_tree(str(t)) == t
 
     def test_deep_chain_roundtrip(self):
         chain = "(".join(str(v) for v in range(1, 1201)) + ")" * 1199
         t = parse_tree(chain)
         assert t.n == 1200 and degree(t) == 1199
-        assert render_tree(t) == chain
+        assert str(t) == chain
 
     def test_rejects_bool_labels(self):
         with pytest.raises(TreeError):
@@ -92,7 +90,6 @@ class TestParseRender:
         queries = [
             t.parent_of,
             t.children,
-            lambda v: in_vertices(t, v),
             lambda v: gap(t, v),
             lambda v: epsilon(t, v, 2, 1),
         ]
@@ -195,18 +192,15 @@ class TestDegree:
 class TestRestrictAndSubtrees:
     def test_seven_vertex_example(self):
         t = parse_tree("3(1(6(2,7)),4,5)")
-        forest = restrict(t, {2, 3, 4, 5, 6})
-        assert [str(c) for c in forest.components] == ["3(4,5)", "6(2)"]
+        assert [str(c) for c in restrict(t, {2, 3, 4, 5, 6})] == ["3(4,5)", "6(2)"]
 
     def test_full_label_set_is_identity(self):
         t = parse_tree(X_TEXT)
-        forest = restrict(t, t.labels)
-        assert forest.components == (t,)
+        assert restrict(t, t.labels) == (t,)
 
     def test_interval_restriction_keeps_labels(self):
         x = parse_tree(X_TEXT)
-        forest = restrict(x, [3, 4, 5])
-        assert [str(c) for c in forest.components] == ["5(3(4))"]
+        assert [str(c) for c in restrict(x, [3, 4, 5])] == ["5(3(4))"]
 
     def test_errors(self):
         t = parse_tree("1(2)")
@@ -230,13 +224,12 @@ class TestRestrictAndSubtrees:
         # "above c" in the tree order, i.e. the descendants of c
         for c in t.labels:
             sub = full_subtree(t, c)
-            forest = restrict(t, sub.labels)
-            assert forest.components == (sub,)
+            assert restrict(t, sub.labels) == (sub,)
 
 
 class TestRelabelAndAction:
     def test_standardize_restriction(self):
-        piece = restrict(parse_tree(X_TEXT), [3, 4, 5]).components[0]
+        piece = restrict(parse_tree(X_TEXT), [3, 4, 5])[0]
         assert str(order_relabel(piece, [1, 2, 3])) == "3(1(2))"
 
     def test_identity_and_forced_targets(self):
@@ -247,6 +240,11 @@ class TestRelabelAndAction:
     def test_size_mismatch(self):
         with pytest.raises(TreeError):
             order_relabel(parse_tree("1(2)"), [1, 2, 3])
+
+    def test_repeated_targets(self):
+        # two targets that collapse to one label would merge vertices
+        with pytest.raises(TreeError):
+            order_relabel(parse_tree("3(1,2)"), [4, 4, 9])
 
     @given(standard_trees(min_n=2, max_n=6))
     @settings(max_examples=40)
@@ -296,6 +294,6 @@ class TestGapEpsilon:
 class TestInVertices:
     def test_examples(self):
         t = parse_tree("2(1,3)")
-        assert in_vertices(t, 2) == {1, 3}
-        assert in_vertices(t, 1) == frozenset()
-        assert in_vertices(parse_tree(X_TEXT), 3) == {4, 7}
+        assert t.children(2) == (1, 3)
+        assert t.children(1) == ()
+        assert parse_tree(X_TEXT).children(3) == (4, 7)
