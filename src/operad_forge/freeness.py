@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .trees import LabelledRootedTree, TreeError, enumerate_trees, restrict
+from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees, restrict
 from .set_operads import SET_COMPOSE, compose_max
 
 
@@ -176,10 +176,10 @@ def factorize(
     return OperationTree(tree, tuple(slots))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     """All indecomposable trees of arity n, sorted by canonical string."""
-    if n < 2:
+    if _arity(n) < 2:
         raise TreeError("generators have arity at least 2")
     found = [t for t in enumerate_trees(n) if is_indecomposable(t)]
     return tuple(sorted(found, key=str))
@@ -195,27 +195,23 @@ def operation_trees(n: int) -> list[OperationTree]:
     Deterministic order: by root generator arity, then generator, then
     slot arities lexicographically, then slot contents recursively.
     """
-    if n < 2:
+    if _arity(n) < 2:
         return []
-
-    @functools.lru_cache(maxsize=None)
-    def rec(total: int) -> tuple[Optional[OperationTree], ...]:
-        if total == 1:
-            return (None,)
+    levels: list[list[Optional[OperationTree]]] = [[], [None]]  # by total arity
+    for total in range(2, n + 1):
         words = []
         for k in range(2, total + 1):
             for g in indecomposables(k):
                 # lexicographic cut points give lexicographic slot arities
                 for cuts in itertools.combinations(range(1, total), k - 1):
                     ends = (0, *cuts, total)
-                    options = [rec(q - p) for p, q in itertools.pairwise(ends)]
+                    options = [levels[q - p] for p, q in itertools.pairwise(ends)]
                     words.extend(
                         OperationTree(g, combo)
                         for combo in itertools.product(*options)
                     )
-        return tuple(words)
-
-    return list(rec(n))
+        levels.append(words)
+    return levels[n]
 
 
 class FreenessReport(NamedTuple):
@@ -227,7 +223,7 @@ class FreenessReport(NamedTuple):
 
 def verify_freeness(n: int) -> FreenessReport:
     """Check that evaluation is a bijection onto all trees of arity n."""
-    if n < 2:
+    if _arity(n) < 2:
         raise TreeError("freeness is checked at arity at least 2")
     words = operation_trees(n)
     images = {evaluate(w) for w in words}
@@ -245,7 +241,7 @@ def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, Operation
     """
     if kind not in SET_COMPOSE:
         raise TreeError(f"unknown operad kind {kind!r}")
-    if n < 2:
+    if _arity(n) < 2:
         raise TreeError("collisions are searched at arity at least 2")
     compose = SET_COMPOSE[kind]
     seen: dict[LabelledRootedTree, OperationTree] = {}

@@ -101,8 +101,7 @@ class LabelledRootedTree:
 
     def children(self, v: int) -> tuple[int, ...]:
         """The children of v in ascending label order."""
-        if type(v) is not int or v not in self.labels:
-            raise TreeError(f"no vertex labelled {v!r}")
+        self.parent_of(v)  # raises TreeError for an unknown label
         pairs = self._key if self._par is None else enumerate(self._par, 1)
         return tuple([w for w, p in pairs if p == v])
 
@@ -257,6 +256,13 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(tuple(out), root)
 
 
+def _arity(n: int) -> int:
+    # n itself once it is an int; a bool, float or str raises here, not later
+    if type(n) is not int:
+        raise TreeError(f"arity must be an integer, got {n!r}")
+    return n
+
+
 def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
     """Yield every standard tree on n vertices exactly once (n^(n-1) of them).
 
@@ -264,7 +270,7 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
     then re-rooted at every vertex: the stream is duplicate-free by
     construction.
     """
-    if n < 1:
+    if _arity(n) < 1:
         raise TreeError("arity must be at least 1")
     if n == 1:
         yield LabelledRootedTree({1: None})
@@ -289,9 +295,6 @@ def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRoo
     kept = set(keep)
     if not kept:
         raise TreeError("cannot restrict to an empty label set")
-    foreign = kept - set(tree.labels)
-    if foreign:
-        raise TreeError(f"labels {sorted(foreign)} are not in the tree")
     # the induced parent map: a kept vertex whose parent is not kept is a root
     induced: dict[int, int | None] = {}
     for v in kept:
@@ -363,8 +366,8 @@ def epsilon(tree: LabelledRootedTree, i: int, m: int, s: int) -> int:
     the parent of i lies below or above i.  Here m is the arity of the
     inserted tree and s the label of its root.
     """
-    if not 1 <= s <= m:
-        raise TreeError(f"root label {s} out of range for arity {m}")
+    if type(m) is not int or type(s) is not int or not 1 <= s <= m:
+        raise TreeError(f"root label {s!r} out of range for arity {m!r}")
     k = tree.parent_of(i)
     if k is None:
         return 0

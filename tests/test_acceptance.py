@@ -4,8 +4,6 @@ Everything here is exact integer arithmetic; there are no tolerances.
 Each test prints a PASS line on success (visible with pytest -s or -rA).
 """
 
-import itertools
-
 import pytest
 
 from operad_forge.trees import degree, enumerate_trees, parse_tree

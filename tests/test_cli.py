@@ -4,7 +4,7 @@ import json
 import pytest
 
 from operad_forge.cli import main
-from operad_forge.trees import parse_tree, tree_from_json
+from operad_forge.trees import tree_from_json
 
 
 def run(capsys, *argv):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -189,6 +190,22 @@ class TestOperationTrees:
         assert words[:2] == ["1(2)[_, 1(2)[_, 1(2)]]", "1(2)[_, 1(2)[_, 2(1)]]"]
         digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
         assert digest == "1fd088461c8df559485ee8bf880a2aa72df4595113ff3412934687b6b17460a1"
+        words = [str(w) for w in operation_trees(5)]
+        assert len(words) == 625
+        digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+        assert digest == "00ad652ad1a13fd87c32a321b6872069af1666002e7b29e08d25aa9e523077bc"
+
+    def test_words_are_freed_on_return(self):
+        # no reference cycle may keep the words alive once the caller drops them
+        gc.collect()
+        gc.disable()
+        try:
+            operation_trees(5)
+            verify_freeness(4)
+            find_collision("min", 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFactorize:
@@ -263,10 +280,30 @@ class TestFreeness:
     def test_bijection_arity_five(self):
         assert verify_freeness(5).ok
 
+    @pytest.mark.slow
+    def test_bijection_arity_seven(self):
+        assert verify_freeness(7) == (True, 117649, 117649, 117649)
+
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_arity_below_two(self, n):
         with pytest.raises(TreeError):
             verify_freeness(n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_rejects_arity_that_is_not_an_int(self, n):
+        # a warm cache entry must not answer: a keyword call keys 3 and 3.0 alike
+        indecomposables(n=3)
+        calls = [
+            lambda: next(enumerate_trees(n)),
+            lambda: indecomposables(n),
+            lambda: indecomposables(n=n),
+            lambda: operation_trees(n),
+            lambda: verify_freeness(n),
+            lambda: find_collision("min", n),
+        ]
+        for call in calls:
+            with pytest.raises(TreeError):
+                call()
 
 
 class TestCollisions:

@@ -1,5 +1,8 @@
-"""The package root exports exactly the names listed in ``__all__``."""
+"""The package root exports exactly the names listed in ``__all__``,
+and no module imports a name it never uses."""
 
+import ast
+import pathlib
 import types
 
 import operad_forge
@@ -25,3 +28,33 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(operad_forge.__all__) == sorted(public)
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    # an import binds a name; the name must be read, or listed in __all__
+    module = ast.parse(path.read_text(), str(path))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "operad_forge").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py")
+    )
+    assert files
+    assert [entry for path in files for entry in _unused_imports(path)] == []

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -92,6 +91,8 @@ class TestParseRender:
             t.children,
             lambda v: gap(t, v),
             lambda v: epsilon(t, v, 2, 1),
+            lambda v: epsilon(t, 2, 2, v),
+            lambda v: epsilon(t, 2, v, 1),
         ]
         for query in queries:
             with pytest.raises(TreeError):
