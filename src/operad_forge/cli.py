@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .trees import (
     TreeError,
+    _arity,
     degree,
     enumerate_trees,
     parse_tree,
@@ -49,9 +50,7 @@ def _threads_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise TreeError(f"OPERAD_FORGE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise TreeError("OPERAD_FORGE_THREADS must be at least 1")
-    return cap
+    return _arity(cap, 1, "OPERAD_FORGE_THREADS must be at least 1")
 
 
 def _input_trees(args) -> list:

@@ -78,9 +78,10 @@ def split(
 
     Returns (outer, inner) with ``compose_max(outer, a, inner) == tree``.
     """
+    ints = isinstance(witness, tuple) and [type(x) for x in witness] == [int] * 3
+    if not (ints and tree.is_standard and _witness_at(tree, *witness[:2]) == witness):
+        raise TreeError(f"{witness!r} is not a witness for {tree}")
     a, b, c = witness
-    if not tree.is_standard or _witness_at(tree, a, b) != witness:
-        raise TreeError(f"{witness} is not a witness for {tree}")
     par, d, width = tree._par, a - 1, b - a
     # outer labels: below a unchanged, the block contracted to a, above b
     # shifted down; the contracted vertex takes the parent of c
@@ -111,7 +112,11 @@ class OperationTree:
             raise TreeError(
                 f"generator {self.node} needs {self.node.n} slots, got {len(self.slots)}"
             )
-        arity = sum(1 if s is None else s.arity for s in self.slots)
+        arity = 0
+        for s in self.slots:
+            if s is not None and not isinstance(s, OperationTree):
+                raise TreeError(f"slot {s!r} is neither None nor an OperationTree")
+            arity += 1 if s is None else s.arity
         object.__setattr__(self, "arity", arity)
 
     def __eq__(self, other: object) -> bool:
@@ -179,8 +184,7 @@ def factorize(
 @functools.lru_cache(maxsize=None, typed=True)
 def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     """All indecomposable trees of arity n, sorted by canonical string."""
-    if _arity(n) < 2:
-        raise TreeError("generators have arity at least 2")
+    _arity(n, 2, "generators have arity at least 2")
     found = [t for t in enumerate_trees(n) if is_indecomposable(t)]
     return tuple(sorted(found, key=str))
 
@@ -223,8 +227,7 @@ class FreenessReport(NamedTuple):
 
 def verify_freeness(n: int) -> FreenessReport:
     """Check that evaluation is a bijection onto all trees of arity n."""
-    if _arity(n) < 2:
-        raise TreeError("freeness is checked at arity at least 2")
+    _arity(n, 2, "freeness is checked at arity at least 2")
     words = operation_trees(n)
     images = {evaluate(w) for w in words}
     expected = n ** (n - 1)
@@ -239,10 +242,9 @@ def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, Operation
     max never collides).  Returns the first collision in enumeration
     order, or None.
     """
-    if kind not in SET_COMPOSE:
+    if type(kind) is not str or kind not in SET_COMPOSE:
         raise TreeError(f"unknown operad kind {kind!r}")
-    if _arity(n) < 2:
-        raise TreeError("collisions are searched at arity at least 2")
+    _arity(n, 2, "collisions are searched at arity at least 2")
     compose = SET_COMPOSE[kind]
     seen: dict[LabelledRootedTree, OperationTree] = {}
     for word in operation_trees(n):

@@ -14,6 +14,7 @@ from typing import Iterator, Mapping
 from .trees import (
     LabelledRootedTree,
     TreeError,
+    _arity,
     act,
     degree,
     enumerate_trees,
@@ -256,8 +257,7 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     composition terms must attain the exact bounds, each at exactly one
     graft map, namely the extremal maps.  Returns failure descriptions.
     """
-    if max_arity < 2:
-        raise TreeError("max_arity must be at least 2")
+    _arity(max_arity, 2, "max_arity must be at least 2")
     failures: list[str] = []
     basis = [t for n in range(1, max_arity + 1) for t in enumerate_trees(n)]
     for t in basis:

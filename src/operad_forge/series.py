@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .trees import _arity
+
 
 class SeriesError(ValueError):
     """A series operation was called outside its domain."""
@@ -29,6 +31,7 @@ class PowerSeries:
     def from_list(cls, coeffs: Sequence[int], order: int | None = None) -> "PowerSeries":
         cs = list(coeffs)
         if order is not None:
+            _arity(order, 0, "order must be at least 0", SeriesError)
             cs = (cs + [0] * (order + 1))[: order + 1]
         return cls(tuple(cs))
 
@@ -120,15 +123,13 @@ class PowerSeries:
 
 def cayley_series(order: int) -> PowerSeries:
     """x + sum_{n>=2} n^(n-1) x^n, the tree-counting series."""
-    if order < 1:
-        raise SeriesError("order must be at least 1")
+    _arity(order, 1, "order must be at least 1", SeriesError)
     return PowerSeries(tuple(0 if n == 0 else n ** (n - 1) for n in range(order + 1)))
 
 
 def generator_series(order: int) -> PowerSeries:
     """Counting series of the free generators, solved by inversion."""
-    if order < 2:
-        raise SeriesError("order must be at least 2")
+    _arity(order, 2, "order must be at least 2", SeriesError)
     alpha = cayley_series(order)
     return PowerSeries.identity(order) - alpha.compositional_inverse()
 
@@ -142,7 +143,7 @@ def verify_functional_equation(
     would test coefficients neither series knows.
     """
     top = min(alpha.order, beta.order)
-    if order > top:
+    if _arity(order, 0, "order must be at least 0", SeriesError) > top:
         raise SeriesError(f"order {order} is above the series order {top}")
     lhs = beta.truncate(order).compose(alpha.truncate(order)) + PowerSeries.identity(order)
     return lhs == alpha.truncate(order)

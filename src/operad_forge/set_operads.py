@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .trees import LabelledRootedTree, TreeError, enumerate_trees
+from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees
 from .prelie import (
     TreeSum,
     compose_pl_linear,
@@ -80,8 +80,7 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
     """
     if kind not in KINDS:
         raise TreeError(f"unknown operad kind {kind!r}")
-    if max_arity < 2:
-        raise TreeError("max_arity must be at least 2")
+    _arity(max_arity, 2, "max_arity must be at least 2")
 
     if kind == "pl":
         compose, lift = compose_pl_linear, TreeSum.single

@@ -192,7 +192,9 @@ def parse_tree(text: str) -> LabelledRootedTree:
         raise TreeError(f"trailing text at position {pos} in {text!r}")
     if sorted(parent) != list(range(1, len(parent) + 1)):
         raise TreeError(f"labels must be exactly 1..{len(parent)} in {text!r}")
-    return LabelledRootedTree(parent)
+    # the parse proved one root (the first label read), connectivity and labels 1..n
+    par = tuple(parent[v] or 0 for v in range(1, len(parent) + 1))
+    return LabelledRootedTree._from_par(par, next(iter(parent)))
 
 
 def tree_to_json(tree: LabelledRootedTree) -> str:
@@ -256,10 +258,13 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(tuple(out), root)
 
 
-def _arity(n: int) -> int:
-    # n itself once it is an int; a bool, float or str raises here, not later
+def _arity(n: int, least: int | None = None, message: str = "", error=TreeError) -> int:
+    # the one check on a count (an arity or a series order): n itself once
+    # it is an int of at least `least`; a bool, float or str raises here
     if type(n) is not int:
-        raise TreeError(f"arity must be an integer, got {n!r}")
+        raise error(f"a count must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise error(message)
     return n
 
 
@@ -270,9 +275,7 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
     then re-rooted at every vertex: the stream is duplicate-free by
     construction.
     """
-    if _arity(n) < 1:
-        raise TreeError("arity must be at least 1")
-    if n == 1:
+    if _arity(n, 1, "arity must be at least 1") == 1:
         yield LabelledRootedTree({1: None})
         return
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):

@@ -182,8 +182,9 @@ class TestVerify:
 
 
 def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("OPERAD_FORGE_THREADS", "not-a-number")
-    assert main(["degree", "1(2)"]) == 2
+    for raw in ("not-a-number", "2.5", "0", "-3"):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", raw)
+        assert main(["degree", "1(2)"]) == 2
     monkeypatch.setenv("OPERAD_FORGE_THREADS", "4")
     assert main(["degree", "1(2)"]) == 0
     capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from operad_forge.trees import TreeError, enumerate_trees, order_relabel, parse_tree
+from operad_forge.prelie import TreeSum
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
 from operad_forge.freeness import (
     OperationTree,
@@ -158,6 +159,22 @@ class TestSplit:
         with pytest.raises(TreeError):
             split(X, Witness(1, 2, 1))
 
+    @pytest.mark.parametrize(
+        "text,witness",
+        [
+            ("2(1,3)", (1, 2)),
+            ("1(2)", (1.0, 2, 1)),
+            ("1(2)", (True, 2, 1)),
+            ("1(2)", (1, 2, 1, 1)),
+            ("1(2)", [1, 2, 1]),
+            ("1(2)", None),
+            ("1(2)", "121"),
+        ],
+    )
+    def test_rejects_witness_that_is_not_three_ints(self, text, witness):
+        with pytest.raises(TreeError, match="is not a witness"):
+            split(parse_tree(text), witness)
+
 
 class TestOperationTrees:
     def test_structural_equality(self):
@@ -166,6 +183,13 @@ class TestOperationTrees:
         nested = OperationTree(mu, (None, single))
         assert nested != OperationTree(mu, (single, None))
         assert nested.arity == 3
+
+    @pytest.mark.parametrize(
+        "slot", [5, "_", parse_tree("1"), TreeSum.single(parse_tree("1(2)"))]
+    )
+    def test_rejects_slot_that_is_not_a_word(self, slot):
+        with pytest.raises(TreeError, match="neither None nor an OperationTree"):
+            OperationTree(parse_tree("1(2)"), (None, slot))
 
     def test_text_format(self):
         mu = parse_tree("1(2)")
@@ -328,6 +352,11 @@ class TestCollisions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TreeError):
             find_collision("bogus", 3)
+
+    @pytest.mark.parametrize("kind", [["min"], None, {}])
+    def test_kind_that_is_not_a_string_rejected(self, kind):
+        with pytest.raises(TreeError, match="unknown operad kind"):
+            find_collision(kind, 3)
 
     @pytest.mark.parametrize("kind,n", [("min", 1), ("nap", 0), ("max", -2)])
     def test_rejects_arity_below_two(self, kind, n):

@@ -107,6 +107,11 @@ class TestAxioms:
         with pytest.raises(TreeError):
             check_axioms("bogus", 3)
 
+    @pytest.mark.parametrize("kind", [["max"], None, {}])
+    def test_kind_that_is_not_a_string_rejected(self, kind):
+        with pytest.raises(TreeError, match="unknown operad kind"):
+            check_axioms(kind, 3)
+
 
 def clamp_compose(tree, i, inserted):
     """Not an operad: child k of i regrafts onto vertex min(k, m)."""
