@@ -48,6 +48,7 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> int:
+        _arity(n, error=SeriesError)
         return self.coeffs[n] if 0 <= n <= self.order else 0
 
     def truncate(self, order: int) -> "PowerSeries":

@@ -191,6 +191,13 @@ class TestOperationTrees:
         with pytest.raises(TreeError, match="neither None nor an OperationTree"):
             OperationTree(parse_tree("1(2)"), (None, slot))
 
+    @pytest.mark.parametrize(
+        "node", ["1(2)", None, OperationTree(parse_tree("1(2)"), (None, None))]
+    )
+    def test_rejects_node_that_is_not_a_tree(self, node):
+        with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
+            OperationTree(node, (None, None))
+
     def test_text_format(self):
         mu = parse_tree("1(2)")
         fork = parse_tree("2(1,3)")
@@ -275,6 +282,7 @@ class TestFactorize:
         assert word.arity == again.arity == 1200
         assert word == again and hash(word) == hash(again)
         assert repr(word).startswith("OperationTree(")
+        assert evaluate(word) == parse_tree(chain)
 
     @settings(deadline=None)
     @given(standard_trees(min_n=2, max_n=40))

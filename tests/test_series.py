@@ -41,6 +41,11 @@ class TestRingOperations:
         g = PowerSeries((0, 1, 2))
         assert [g.coefficient(n) for n in (-1, -3, 0, 2, 3)] == [0, 0, 0, 2, 0]
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_rejects_index_that_is_not_an_int(self, n):
+        with pytest.raises(SeriesError, match="must be an integer"):
+            series(0, 1, 2, 3).coefficient(n)
+
 
 class TestCompositionalInverse:
     def test_identity(self):
