@@ -154,20 +154,13 @@ def evaluate(
     word: OperationTree, compose: Callable = compose_max
 ) -> LabelledRootedTree:
     """Fold an operation tree bottom-up with the given set composition."""
-    order, stack = [], [word]
-    while stack:  # preorder, rightmost slot first, so depth is unbounded
-        if (w := stack.pop()) is not None:
-            order.append(w)
-            stack += w.slots
-    done: list[LabelledRootedTree] = []  # each word's slots come before it
-    for w in reversed(order):
-        result = w.node
-        # rightmost slot first (top of done), so earlier input positions stay put
-        for idx in range(len(w.slots), 0, -1):
-            if w.slots[idx - 1] is not None:
-                result = compose(result, idx, done.pop())
-        done.append(result)
-    return done[0]
+    result = word.node
+    # rightmost slot first, so earlier input positions stay put
+    for idx in range(len(word.slots), 0, -1):
+        slot = word.slots[idx - 1]
+        if slot is not None:
+            result = compose(result, idx, evaluate(slot, compose))
+    return result
 
 
 def factorize(

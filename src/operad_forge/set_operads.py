@@ -19,8 +19,8 @@ from typing import Callable
 from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees
 from .prelie import (
     TreeSum,
-    _graft_kernel,
     compose_pl_linear,
+    graft_compose,
     max_term,
     min_term,
 )
@@ -32,6 +32,8 @@ def f_nap_map(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> dict[int, int]:
     """Every displaced child regrafts onto the root of the inserted tree."""
+    if not 1 <= i <= tree.n:
+        raise TreeError(f"position {i} out of range for arity {tree.n}")
     return {k: inserted.root for k in tree.children(i)}
 
 
@@ -42,8 +44,7 @@ compose_min = min_term
 def compose_nap(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
-    graft, children = _graft_kernel(tree, i, inserted)
-    return graft([inserted.root] * len(children))
+    return graft_compose(tree, i, inserted, f_nap_map(tree, i, inserted))
 
 
 SET_COMPOSE: dict[str, Callable] = {

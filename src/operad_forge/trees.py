@@ -259,10 +259,10 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
 
 
 def _arity(n: int, least: int | None = None, message: str = "", error=TreeError) -> int:
-    # the one check on a count (an arity or a series order): n itself once
-    # it is an int of at least `least`; a bool, float or str raises here
+    # the one check on a count (an arity or a series order) or a series index:
+    # n itself once it is an int of at least `least`; a bool, float or str raises
     if type(n) is not int:
-        raise error(f"a count must be an integer, got {n!r}")
+        raise error(f"a count or index must be an integer, got {n!r}")
     if least is not None and n < least:
         raise error(message)
     return n
