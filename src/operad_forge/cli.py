@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
 from .trees import (
     TreeError,
-    _arity,
     degree,
     enumerate_trees,
     parse_tree,
@@ -31,7 +29,7 @@ from .prelie import (
     min_term,
     pre_lie_associator,
 )
-from .set_operads import SET_COMPOSE, check_axioms
+from .set_operads import KINDS, SET_COMPOSE, check_axioms
 from .freeness import (
     count_indecomposables,
     evaluate,
@@ -43,18 +41,8 @@ from .freeness import (
 from .series import SeriesError, generator_series
 
 
-def _threads_cap() -> int:
-    """Parallelism cap from OPERAD_FORGE_THREADS; everything here runs within it."""
-    raw = os.environ.get("OPERAD_FORGE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise TreeError(f"OPERAD_FORGE_THREADS must be an integer, got {raw!r}")
-    return _arity(cap, 1, "OPERAD_FORGE_THREADS must be at least 1")
-
-
 def _input_trees(args) -> list:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, encoding="utf-8") as fh:
             try:
                 return [parse_tree(line) for line in fh if line.strip()]
@@ -71,30 +59,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compositions, factorization, and counting for labelled rooted trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tree_input = argparse.ArgumentParser(add_help=False)
+    tree_input.add_argument("tree", nargs="?")
+    tree_input.add_argument("--input", help="file with one tree per line")
+    position = argparse.ArgumentParser(add_help=False)
+    position.add_argument("-i", type=int, required=True)
+    position.add_argument("outer")
+    position.add_argument("inner")
 
     p = sub.add_parser("enumerate", help="list all trees of a given arity")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("degree", help="degree of a tree (sum of |a-b| over edges)")
-    p.add_argument("tree", nargs="?")
-    p.add_argument("--input", help="file with one tree per line")
+    sub.add_parser(
+        "degree", parents=[tree_input], help="degree of a tree (sum of |a-b| over edges)"
+    )
 
-    p = sub.add_parser("compose", help="compose two trees at a position")
-    p.add_argument("--operad", choices=("pl", "max", "min", "nap"), required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("outer")
-    p.add_argument("inner")
+    p = sub.add_parser("compose", parents=[position], help="compose two trees at a position")
+    p.add_argument("--operad", choices=KINDS, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("minmax", help="extremal terms and degree bounds of a composition")
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("outer")
-    p.add_argument("inner")
-
-    p = sub.add_parser("factorize", help="factor a tree into indecomposable generators")
-    p.add_argument("tree", nargs="?")
-    p.add_argument("--input", help="file with one tree per line")
+    sub.add_parser(
+        "minmax", parents=[position], help="extremal terms and degree bounds of a composition"
+    )
+    sub.add_parser(
+        "factorize", parents=[tree_input], help="factor a tree into indecomposable generators"
+    )
 
     p = sub.add_parser("indecomposables", help="list or count the generators of an arity")
     p.add_argument("-n", type=int, required=True)
@@ -107,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = v.add_subparsers(dest="check", required=True)
 
     p = vsub.add_parser("axioms")
-    p.add_argument("--operad", choices=("max", "min", "nap", "pl"), required=True)
+    p.add_argument("--operad", choices=KINDS, required=True)
     p.add_argument("--max-arity", type=int, default=3)
 
     p = vsub.add_parser("freeness")
@@ -119,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub.add_parser("prelie")
 
     p = vsub.add_parser("collisions")
+    # max never collides: its evaluation is injective
     p.add_argument("--operad", choices=("min", "nap"), required=True)
     p.add_argument("-n", type=int, required=True)
 
@@ -126,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    _threads_cap()
     out = sys.stdout
 
     if args.command == "enumerate":
@@ -187,53 +177,37 @@ def _run(args) -> int:
         return 0
 
     assert args.command == "verify"
-
+    # each check gives its detail lines, whether it passed, and its last line
+    lines: list[str] = []
     if args.check == "axioms":
-        violations = check_axioms(args.operad, args.max_arity)
-        for v in violations:
-            out.write(str(v) + "\n")
-        if violations:
-            out.write(f"FAIL {len(violations)} violations\n")
-            return 1
-        out.write(f"OK {args.operad} axioms hold up to arity {args.max_arity}\n")
-        return 0
-
-    if args.check == "freeness":
-        report = verify_freeness(args.n)
-        if report.ok:
-            out.write(f"OK {report.expected} trees, {report.constructions} constructions\n")
-            return 0
-        out.write(
-            f"FAIL {report.constructions} constructions, {report.distinct} distinct, "
-            f"expected {report.expected}\n"
-        )
-        return 1
-
-    if args.check == "minmax":
-        failures = check_extremal_terms(args.max_arity)
-        for line in failures:
-            out.write(line + "\n")
-        if failures:
-            out.write(f"FAIL {len(failures)} cases\n")
-            return 1
-        out.write(f"OK extremal terms unique and tight up to arity {args.max_arity}\n")
-        return 0
-
-    if args.check == "prelie":
+        lines = [str(v) for v in check_axioms(args.operad, args.max_arity)]
+        ok = not lines
+        last = (f"OK {args.operad} axioms hold up to arity {args.max_arity}" if ok
+                else f"FAIL {len(lines)} violations")
+    elif args.check == "freeness":
+        r = verify_freeness(args.n)
+        ok = r.ok
+        last = (f"OK {r.expected} trees, {r.constructions} constructions" if ok
+                else f"FAIL {r.constructions} constructions, {r.distinct} distinct, "
+                f"expected {r.expected}")
+    elif args.check == "minmax":
+        lines = check_extremal_terms(args.max_arity)
+        ok = not lines
+        last = (f"OK extremal terms unique and tight up to arity {args.max_arity}" if ok
+                else f"FAIL {len(lines)} cases")
+    elif args.check == "prelie":
         ok = check_pre_lie_relation()
-        assoc = pre_lie_associator(parse_tree("1(2)"))
-        out.write(f"associator {assoc}\n")
-        out.write("OK pre-Lie relation holds\n" if ok else "FAIL\n")
-        return 0 if ok else 1
-
-    assert args.check == "collisions"
-    pair = find_collision(args.operad, args.n)
-    if pair is None:
-        out.write("FAIL no collision found\n")
-        return 1
-    w1, w2 = pair
-    out.write(f"collision {w1} = {w2} -> {evaluate(w1, SET_COMPOSE[args.operad])}\n")
-    return 0
+        lines = [f"associator {pre_lie_associator(parse_tree('1(2)'))}"]
+        last = "OK pre-Lie relation holds" if ok else "FAIL"
+    else:
+        pair = find_collision(args.operad, args.n)
+        ok, last = pair is not None, "FAIL no collision found"
+        if ok:
+            w1, w2 = pair
+            last = f"collision {w1} = {w2} -> {evaluate(w1, SET_COMPOSE[args.operad])}"
+    for line in [*lines, last]:
+        out.write(line + "\n")
+    return 0 if ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -183,12 +183,20 @@ def factorize(
     return OperationTree(tree, tuple(slots))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     """All indecomposable trees of arity n, sorted by canonical string."""
-    _arity(n, 2, "generators have arity at least 2")
+    return _indecomposables(_arity(n, 2, "generators have arity at least 2"))
+
+
+@functools.lru_cache(maxsize=None)
+def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     found = [t for t in enumerate_trees(n) if is_indecomposable(t)]
     return tuple(sorted(found, key=str))
+
+
+# lru_cache hashes n before the body runs, so the cache sits on a helper behind the check
+indecomposables.cache_clear = _indecomposables.cache_clear
+indecomposables.cache_info = _indecomposables.cache_info
 
 
 def count_indecomposables(n: int) -> int:

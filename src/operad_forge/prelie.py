@@ -88,17 +88,20 @@ def graft_maps(
 ) -> Iterator[dict[int, int]]:
     """All maps from the children of i into [m], lexicographic by child label."""
     children = tree.children(i)
+    _arity(m, 1, "the inserted tree has arity at least 1")
     for targets in itertools.product(range(1, m + 1), repeat=len(children)):
         yield dict(zip(children, targets))
 
 
 def f_min_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex 1, children above onto vertex m."""
+    _arity(m, 1, "the inserted tree has arity at least 1")
     return {k: (1 if k < i else m) for k in tree.children(i)}
 
 
 def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex m, children above onto vertex 1."""
+    _arity(m, 1, "the inserted tree has arity at least 1")
     return {k: (m if k < i else 1) for k in tree.children(i)}
 
 

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from operad_forge import cli, freeness, prelie
 from operad_forge.cli import main
+from operad_forge.set_operads import SET_COMPOSE
 from operad_forge.trees import tree_from_json
+
+from test_set_operads import clamp_compose
 
 
 def run(capsys, *argv):
@@ -181,10 +187,95 @@ class TestVerify:
         assert main(["nonsense"]) == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    for raw in ("not-a-number", "2.5", "0", "-3"):
-        monkeypatch.setenv("OPERAD_FORGE_THREADS", raw)
-        assert main(["degree", "1(2)"]) == 2
-    monkeypatch.setenv("OPERAD_FORGE_THREADS", "4")
-    assert main(["degree", "1(2)"]) == 0
-    capsys.readouterr()
+# exit code and SHA-256 of stdout for every example of README's CLI block,
+# pinned so that a change to the CLI's code keeps its output byte for byte
+README_STDOUT = {
+    "operad-forge enumerate -n 3": (
+        0, "ddb15d088a20ee395bfcb4c4487fc021178437670b63b56a75094e2404c8620e"),
+    'operad-forge degree "3(1,2(4))"': (
+        0, "d2354aa82f259eb30ebcc4515fc2d1f7eead0954f417f1a9c754222cb20dbc8a"),
+    'operad-forge compose --operad pl -i 2 "2(1,3)" "2(1)"': (
+        0, "0fb40ed4e870894c6af1832e8ed0446a89c54d7733aec7123895ed8a8e1147fd"),
+    'operad-forge compose --operad max -i 3 "4(3(1,2,5),6)" "3(1(2))"': (
+        0, "be73a21b49f4723df676042c242b156f14f6b7315b290a0e62ec43b5263b4dc1"),
+    'operad-forge minmax -i 2 "2(1,3)" "2(1)"': (
+        0, "50839c23087d2ded146862e4303c755f80b0a3cdaf5d5e4d55c389f41bb72c49"),
+    'operad-forge factorize "1(2(3))"': (
+        0, "1c633d4663ba5112cda7fb7d8bc74832b8eba0d3840ee5c2b6f1cffd84115402"),
+    "operad-forge indecomposables -n 4 --count": (
+        0, "9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25"),
+    "operad-forge hilbert --order 9": (
+        0, "dfb5facc1bfd6218f4853aa64163f7b481c6b3d50e1829236e13018cf2cb399d"),
+    "operad-forge verify axioms --operad max --max-arity 3": (
+        0, "b0affb4ac4e77c4bdca284174c8fa5d48b82089e9096f452cdd76ea194c1d476"),
+    "operad-forge verify freeness -n 4": (
+        0, "dbcbbd248b6c535a9b726fa4587cef0047849177325467d87a90558f03383c4e"),
+    "operad-forge verify minmax --max-arity 3": (
+        0, "8717a9af754c6f647da785f7029ecd5f2a1c9a1efaa5cd32d6a48f0d7cd8b658"),
+    "operad-forge verify prelie": (
+        0, "2e314bbccaed9c13b0170bf0619a007a82386d120cfbd2c37865313d73be58ee"),
+    "operad-forge verify collisions --operad nap -n 3": (
+        0, "cb6e00aae0b9d43f2eb96ba02a8c19951dd74dbed73d5bbfe2ad794621cdd5ea"),
+}
+
+# each verify check made to fail: the command, the fault put in, and the
+# SHA-256 of stdout, pinned like README_STDOUT; every one exits 1
+FAIL_STDOUT = {
+    "axioms": (
+        "verify axioms --operad max --max-arity 3",
+        lambda mp: mp.setitem(SET_COMPOSE, "max", clamp_compose),
+        "2e88d275ff6cab1057a6d5d207ecb46e39bfb53755785fd9f2a652011c14735d",
+    ),
+    "minmax": (
+        "verify minmax --max-arity 3",
+        lambda mp: mp.setattr(prelie, "min_term", prelie.max_term),
+        "54c0228bd6af689c7a14cdbaeeeabe00fc2a5ea40ef2649b9131404afc6a88ab",
+    ),
+    "freeness": (
+        "verify freeness -n 4",
+        lambda mp: mp.setattr(freeness, "evaluate", lambda word, *args, **kw: word.node),
+        "132233cc02fa3241c0da0ca4bdb1c46b46e89e556cb800ecf35ca76a595d9ced",
+    ),
+    "prelie": (
+        "verify prelie",
+        lambda mp: mp.setattr(cli, "check_pre_lie_relation", lambda: False),
+        "0031332315d7844d1f65f1eddc73b57d69b2225701fbf20a161d4fbaa05428c3",
+    ),
+    "collisions": (
+        "verify collisions --operad min -n 2",
+        lambda mp: None,
+        "68fee77f4b56dce88d62888c76ed9c1061d55e9dea5691b25b962fb183385edb",
+    ),
+}
+
+
+def readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    return [
+        line.split("#")[0].strip()
+        for line in block.splitlines()
+        if line.startswith("operad-forge ")
+    ]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_readme_lists_the_pinned_commands():
+    assert readme_commands() == list(README_STDOUT)
+
+
+@pytest.mark.parametrize("command", list(README_STDOUT))
+def test_readme_command_stdout(capsys, command):
+    code, out = run(capsys, *shlex.split(command)[1:])
+    assert (code, sha256(out)) == README_STDOUT[command]
+
+
+@pytest.mark.parametrize("check", list(FAIL_STDOUT))
+def test_failed_verification_stdout(capsys, monkeypatch, check):
+    command, put_fault, digest = FAIL_STDOUT[check]
+    put_fault(monkeypatch)
+    code, out = run(capsys, *command.split())
+    assert (code, sha256(out)) == (1, digest)

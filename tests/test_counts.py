@@ -4,14 +4,14 @@ own error: TreeError for trees, SeriesError for series."""
 
 import pytest
 
-from operad_forge.trees import TreeError, enumerate_trees
+from operad_forge.trees import TreeError, enumerate_trees, parse_tree
 from operad_forge.freeness import (
     find_collision,
     indecomposables,
     operation_trees,
     verify_freeness,
 )
-from operad_forge.prelie import check_extremal_terms
+from operad_forge.prelie import check_extremal_terms, f_max_map, f_min_map, graft_maps
 from operad_forge.set_operads import check_axioms
 from operad_forge.series import (
     PowerSeries,
@@ -21,7 +21,8 @@ from operad_forge.series import (
     verify_functional_equation,
 )
 
-NOT_INTS = [2.5, 3.0, True, "3"]
+NOT_INTS = [2.5, 3.0, True, "3", [3]]
+FORK = parse_tree("2(1,3)")
 
 TREE_COUNTS = {
     "enumerate_trees": lambda n: next(enumerate_trees(n)),
@@ -31,6 +32,10 @@ TREE_COUNTS = {
     "find_collision": lambda n: find_collision("min", n),
     "check_axioms": lambda n: check_axioms("max", n),
     "check_extremal_terms": check_extremal_terms,
+    # the arity of the inserted tree, for the children of vertex 2
+    "graft_maps": lambda m: next(graft_maps(FORK, 2, m)),
+    "f_min_map": lambda m: f_min_map(FORK, 2, m),
+    "f_max_map": lambda m: f_max_map(FORK, 2, m),
 }
 
 SERIES_COUNTS = {
@@ -45,9 +50,11 @@ SERIES_COUNTS = {
     ),
 }
 
-CASES = [(name, n, TreeError) for name in TREE_COUNTS for n in NOT_INTS] + [
-    (name, n, SeriesError) for name in SERIES_COUNTS for n in NOT_INTS + [-1, -2]
-]
+CASES = (
+    [(name, n, TreeError) for name in TREE_COUNTS for n in NOT_INTS]
+    + [(name, 0, TreeError) for name in ("graft_maps", "f_min_map", "f_max_map")]
+    + [(name, n, SeriesError) for name in SERIES_COUNTS for n in NOT_INTS + [-1, -2]]
+)
 
 
 @pytest.mark.parametrize(
