@@ -26,13 +26,12 @@ from .trees import (
 GraftMap = Mapping[int, int]
 
 
-def _check_compose_args(
-    tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
-) -> None:
-    if not (tree.is_standard and inserted.is_standard):
+def _check_compose_args(i: int, n: int, *trees: LabelledRootedTree) -> None:
+    """Reject a position outside 1..n, and any of ``trees`` that is not standard."""
+    if not all(t.is_standard for t in trees):
         raise TreeError("composition is defined on standard trees")
-    if type(i) is not int or not 1 <= i <= tree.n:
-        raise TreeError(f"position {i!r} out of range for arity {tree.n}")
+    if type(i) is not int or not 1 <= i <= n:
+        raise TreeError(f"position {i!r} out of range for arity {n}")
 
 
 def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree):
@@ -43,7 +42,7 @@ def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
     map sends them to ``targets`` (trusted to lie in 1..m).  Each call
     patches only the children's slots of a base built once.
     """
-    _check_compose_args(tree, i, inserted)
+    _check_compose_args(i, tree.n, tree, inserted)
     par, ins = tree._par, inserted._par
     d, up = i - 1, len(ins) - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
@@ -118,15 +117,19 @@ class TreeSum:
         self, arity: int, terms: Mapping[LabelledRootedTree, int] | None = None
     ):
         self._arity = arity
-        clean: dict[LabelledRootedTree, int] = {}
-        for tree, coeff in (terms or {}).items():
+        self._terms: dict[LabelledRootedTree, int] = {}
+        self._merge((terms or {}).items())
+
+    def _merge(self, pairs) -> "TreeSum":
+        """Add (tree, coefficient) pairs into this new sum; a zero total drops its term."""
+        terms, arity = self._terms, self._arity
+        for tree, coeff in pairs:
             if tree.n != arity:
-                raise TreeError(
-                    f"term {tree} has arity {tree.n}, expected {arity}"
-                )
-            if coeff:
-                clean[tree] = coeff
-        self._terms = clean
+                raise TreeError(f"term {tree} has arity {tree.n}, expected {arity}")
+            terms[tree] = terms.get(tree, 0) + coeff
+            if not terms[tree]:
+                del terms[tree]
+        return self
 
     @classmethod
     def single(cls, tree: LabelledRootedTree, coeff: int = 1) -> "TreeSum":
@@ -135,9 +138,6 @@ class TreeSum:
     @property
     def arity(self) -> int:
         return self._arity
-
-    def coefficient(self, tree: LabelledRootedTree) -> int:
-        return self._terms.get(tree, 0)
 
     def terms(self) -> list[tuple[LabelledRootedTree, int]]:
         """Terms sorted by canonical tree string."""
@@ -155,27 +155,20 @@ class TreeSum:
     def __add__(self, other: "TreeSum") -> "TreeSum":
         if other._arity != self._arity:
             raise TreeError("cannot add sums of different arities")
-        merged = dict(self._terms)
-        for tree, coeff in other._terms.items():
-            merged[tree] = merged.get(tree, 0) + coeff
-        return TreeSum(self._arity, merged)
+        return TreeSum(self._arity, self._terms)._merge(other._terms.items())
 
     def __neg__(self) -> "TreeSum":
-        return TreeSum(self._arity, {t: -c for t, c in self._terms.items()})
+        return -1 * self
 
     def __sub__(self, other: "TreeSum") -> "TreeSum":
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "TreeSum":
-        return TreeSum(self._arity, {t: scalar * c for t, c in self._terms.items()})
+        return TreeSum(self._arity)._merge((t, scalar * c) for t, c in self._terms.items())
 
     def map_trees(self, fn) -> "TreeSum":
         """Apply fn to each basis tree, merging coefficients on collisions."""
-        merged: dict[LabelledRootedTree, int] = {}
-        for tree, coeff in self._terms.items():
-            image = fn(tree)
-            merged[image] = merged.get(image, 0) + coeff
-        return TreeSum(self._arity, merged)
+        return TreeSum(self._arity)._merge((fn(t), c) for t, c in self._terms.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSum):
@@ -211,14 +204,14 @@ def compose_pl(
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums."""
-    terms: dict[LabelledRootedTree, int] = {}
+    _check_compose_args(i, a.arity)
+    out = TreeSum(a.arity + b.arity - 1)
     for t, ct in a._terms.items():
         for s, cs in b._terms.items():
             graft, children = _graft_kernel(t, i, s)
             maps = itertools.product(range(1, s.n + 1), repeat=len(children))
-            for term in map(graft, maps):
-                terms[term] = terms.get(term, 0) + ct * cs
-    return TreeSum(a.arity + b.arity - 1, terms)
+            out._merge((term, ct * cs) for term in map(graft, maps))
+    return out
 
 
 def min_term(
@@ -241,7 +234,7 @@ def degree_bounds(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> tuple[int, int]:
     """Exact lower and upper bounds for term degrees of the composition."""
-    _check_compose_args(tree, i, inserted)
+    _check_compose_args(i, tree.n, tree, inserted)
     m = inserted.n
     lo = (
         degree(tree)

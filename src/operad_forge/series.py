@@ -55,16 +55,14 @@ class PowerSeries:
         return PowerSeries.from_list(self.coeffs, order)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1))
-        )
+        # zip stops at the shorter series: the sum is known to the common order
+        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "PowerSeries":
+        return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(order + 1))
-        )
+        return self + -other
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.order, other.order)

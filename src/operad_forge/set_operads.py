@@ -19,6 +19,7 @@ from typing import Callable
 from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees
 from .prelie import (
     TreeSum,
+    _check_compose_args,
     compose_pl_linear,
     graft_compose,
     max_term,
@@ -32,8 +33,7 @@ def f_nap_map(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> dict[int, int]:
     """Every displaced child regrafts onto the root of the inserted tree."""
-    if not 1 <= i <= tree.n:
-        raise TreeError(f"position {i} out of range for arity {tree.n}")
+    _check_compose_args(i, tree.n)
     return {k: inserted.root for k in tree.children(i)}
 
 
