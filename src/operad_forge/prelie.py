@@ -116,7 +116,7 @@ class TreeSum:
     def __init__(
         self, arity: int, terms: Mapping[LabelledRootedTree, int] | None = None
     ):
-        self._arity = arity
+        self._arity = _arity(arity, 1, "a sum has arity at least 1")
         self._terms: dict[LabelledRootedTree, int] = {}
         self._merge((terms or {}).items())
 
@@ -124,8 +124,12 @@ class TreeSum:
         """Add (tree, coefficient) pairs into this new sum; a zero total drops its term."""
         terms, arity = self._terms, self._arity
         for tree, coeff in pairs:
+            if not isinstance(tree, LabelledRootedTree):
+                raise TreeError(f"term {tree!r} is not a tree")
             if tree.n != arity:
                 raise TreeError(f"term {tree} has arity {tree.n}, expected {arity}")
+            if type(coeff) is not int:
+                raise TreeError(f"coefficient {coeff!r} of {tree} is not an integer")
             terms[tree] = terms.get(tree, 0) + coeff
             if not terms[tree]:
                 del terms[tree]

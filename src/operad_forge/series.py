@@ -24,8 +24,11 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise SeriesError("a series needs at least the constant coefficient")
+        if set(map(type, self.coeffs)) != {int}:
+            raise SeriesError(f"coefficients must be integers, got {self.coeffs!r}")
 
     @classmethod
     def from_list(cls, coeffs: Sequence[int], order: int | None = None) -> "PowerSeries":

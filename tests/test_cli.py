@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import operad_forge
 from operad_forge import cli, freeness, prelie
 from operad_forge.cli import main
 from operad_forge.set_operads import SET_COMPOSE
@@ -72,11 +76,23 @@ class TestCompose:
         code, _ = run(capsys, "compose", "--operad", "pl", "-i", "9", "2(1,3)", "2(1)")
         assert code == 2
 
+    def test_out_of_range_position_for_nap(self, capsys):
+        code = main(["compose", "--operad", "nap", "-i", "9", "2(1,3)", "2(1)"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: position 9 out of range for arity 3\n"
+
 
 class TestOtherCommands:
     def test_degree(self, capsys):
         code, out = run(capsys, "degree", "3(1,2(4))")
         assert code == 0 and out.strip() == "3(1,2(4)) 5"
+
+    def test_degree_without_a_tree(self, capsys):
+        code = main(["degree"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: give a tree argument or --input FILE\n"
 
     def test_degree_batch(self, capsys, tmp_path):
         path = tmp_path / "trees.txt"
@@ -269,8 +285,27 @@ def test_readme_lists_the_pinned_commands():
 
 @pytest.mark.parametrize("command", list(README_STDOUT))
 def test_readme_command_stdout(capsys, command):
-    code, out = run(capsys, *shlex.split(command)[1:])
-    assert (code, sha256(out)) == README_STDOUT[command]
+    code = main(shlex.split(command)[1:])
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out)) == README_STDOUT[command]
+    assert captured.err == ""
+
+
+def test_module_entry_point(capsys):
+    # `python -m operad_forge.cli` runs main and exits with its return code
+    src = str(Path(operad_forge.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "operad_forge.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = module_run("verify", "prelie")
+    assert (ok.returncode, ok.stdout) == run(capsys, "verify", "prelie")
+    assert module_run("verify", "freeness", "-n", "1").returncode == 2
 
 
 @pytest.mark.parametrize("check", list(FAIL_STDOUT))

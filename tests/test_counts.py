@@ -11,7 +11,13 @@ from operad_forge.freeness import (
     operation_trees,
     verify_freeness,
 )
-from operad_forge.prelie import check_extremal_terms, f_max_map, f_min_map, graft_maps
+from operad_forge.prelie import (
+    TreeSum,
+    check_extremal_terms,
+    f_max_map,
+    f_min_map,
+    graft_maps,
+)
 from operad_forge.set_operads import check_axioms
 from operad_forge.series import (
     PowerSeries,
@@ -32,6 +38,7 @@ TREE_COUNTS = {
     "find_collision": lambda n: find_collision("min", n),
     "check_axioms": lambda n: check_axioms("max", n),
     "check_extremal_terms": check_extremal_terms,
+    "TreeSum": TreeSum,
     # the arity of the inserted tree, for the children of vertex 2
     "graft_maps": lambda m: next(graft_maps(FORK, 2, m)),
     "f_min_map": lambda m: f_min_map(FORK, 2, m),
@@ -52,7 +59,7 @@ SERIES_COUNTS = {
 
 CASES = (
     [(name, n, TreeError) for name in TREE_COUNTS for n in NOT_INTS]
-    + [(name, 0, TreeError) for name in ("graft_maps", "f_min_map", "f_max_map")]
+    + [(name, 0, TreeError) for name in ("graft_maps", "f_min_map", "f_max_map", "TreeSum")]
     + [(name, n, SeriesError) for name in SERIES_COUNTS for n in NOT_INTS + [-1, -2]]
 )
 

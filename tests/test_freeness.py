@@ -198,6 +198,13 @@ class TestOperationTrees:
         with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
             OperationTree(node, (None, None))
 
+    def test_rejects_slot_count_other_than_the_arity(self):
+        with pytest.raises(TreeError, match="needs 2 slots, got 1"):
+            OperationTree(parse_tree("1(2)"), (None,))
+
+    def test_no_words_below_arity_two(self):
+        assert operation_trees(1) == []
+
     def test_text_format(self):
         mu = parse_tree("1(2)")
         fork = parse_tree("2(1,3)")
@@ -240,6 +247,10 @@ class TestOperationTrees:
 
 
 class TestFactorize:
+    def test_rejects_arity_one(self):
+        with pytest.raises(TreeError, match="arity >= 2"):
+            factorize(parse_tree("1"))
+
     def test_indecomposable_is_single_node(self):
         fork = parse_tree("2(1,3)")
         assert factorize(fork) == OperationTree(fork, (None, None, None))

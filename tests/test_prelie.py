@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -75,7 +76,7 @@ class TestGraftCompose:
         "compose",
         [compose_pl, compose_max, compose_min, compose_nap, degree_bounds],
     )
-    @pytest.mark.parametrize("i", [True, 1.0])
+    @pytest.mark.parametrize("i", [True, 1.0, "1"])
     def test_rejects_position_that_is_not_an_int(self, compose, i):
         mu = parse_tree("1(2)")
         with pytest.raises(TreeError):
@@ -140,6 +141,72 @@ class TestTreeSum:
         s = TreeSum.single(parse_tree("1(2)")) - 2 * TreeSum.single(parse_tree("2(1)"))
         assert str(s) == "1*1(2) - 2*2(1)"
 
+    def test_zero_sum_prints_as_zero(self):
+        assert str(TreeSum(3)) == "0"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TreeSum(2, {parse_tree("1(2)"): 1.5}),
+            lambda: 1.5 * TreeSum.single(parse_tree("1(2)")),
+            lambda: TreeSum.single(parse_tree("1(2)"), True),
+            lambda: TreeSum(2.5),
+            lambda: TreeSum(-1),
+            lambda: TreeSum(3, {"x": 1}),
+        ],
+        ids=["float-term", "float-scalar", "bool-coefficient", "float-arity",
+             "negative-arity", "term-not-a-tree"],
+    )
+    def test_rejects_what_is_not_an_integer_combination_of_trees(self, make):
+        with pytest.raises(TreeError):
+            make()
+
+    def test_rejects_terms_of_another_arity(self):
+        with pytest.raises(TreeError, match="has arity 2, expected 3"):
+            TreeSum(3, {parse_tree("1(2)"): 1})
+        with pytest.raises(TreeError, match="different arities"):
+            TreeSum.single(parse_tree("1(2)")) + TreeSum.single(parse_tree("1"))
+
+
+@st.composite
+def coefficient_dicts(draw, max_n=4):
+    """Two {tree: coefficient} dicts of one arity over a pool of at most 3
+    trees, coefficients in -3..3, so that terms collide and cancel."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pool = draw(st.lists(standard_trees(min_n=n, max_n=n), min_size=1, max_size=3))
+    coeffs = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=3)
+    return n, pool, draw(coeffs), draw(coeffs)
+
+
+def nonzero(coeffs):
+    return {t: c for t, c in coeffs.items() if c}
+
+
+class TestTreeSumAgainstDicts:
+    """Every TreeSum operation against the same operation on plain dicts."""
+
+    @given(coefficient_dicts(), st.integers(-3, 3))
+    @settings(max_examples=100)
+    def test_operations(self, drawn, k):
+        n, pool, da, db = drawn
+        a, b = TreeSum(n, da), TreeSum(n, db)
+        both = da.keys() | db.keys()
+        assert dict(a.terms()) == nonzero(da)
+        added = {t: da.get(t, 0) + db.get(t, 0) for t in both}
+        assert dict((a + b).terms()) == nonzero(added)
+        subtracted = {t: da.get(t, 0) - db.get(t, 0) for t in both}
+        assert dict((a - b).terms()) == nonzero(subtracted)
+        assert dict((-a).terms()) == nonzero({t: -c for t, c in da.items()})
+        assert dict((k * a).terms()) == nonzero({t: k * c for t, c in da.items()})
+
+        def image(t):  # sends several trees to one, so images collide
+            return pool[degree(t) % len(pool)]
+
+        mapped: dict = {}
+        for t, c in da.items():
+            mapped[image(t)] = mapped.get(image(t), 0) + c
+        assert dict(a.map_trees(image).terms()) == nonzero(mapped)
+
 
 @st.composite
 def tree_sums(draw, n):
@@ -172,6 +239,19 @@ class TestComposePlLinear:
                     expected = expected + (ct * cs) * compose_pl(t, i, s)
             assert compose_pl_linear(a, i, b) == expected
 
+    @pytest.mark.parametrize(
+        "a,i,message",
+        [
+            (TreeSum(3), 99, "position 99 out of range for arity 3"),
+            (TreeSum.single(parse_tree("1(2)")), 99, "position 99 out of range for arity 2"),
+            (TreeSum(3), "x", "position 'x' out of range for arity 3"),
+        ],
+        ids=["zero-sum", "one-term", "not-an-int"],
+    )
+    def test_rejects_bad_position_even_for_a_zero_sum(self, a, i, message):
+        with pytest.raises(TreeError, match=re.escape(message)):
+            compose_pl_linear(a, i, TreeSum(2))
+
 
 class TestExtremalTerms:
     def test_golden_min_max(self):
@@ -189,6 +269,11 @@ class TestExtremalTerms:
             for i in range(1, 4):
                 lo, hi = degree_bounds(t, i, unit)
                 assert lo == hi == degree(t)
+
+    def test_rejects_tree_that_is_not_standard(self):
+        shifted = order_relabel(parse_tree("1(2)"), [2, 3])
+        with pytest.raises(TreeError, match="defined on standard trees"):
+            compose_max(shifted, 1, parse_tree("1"))
 
     def test_no_children_min_equals_max(self):
         mu = parse_tree("1(2)")

@@ -47,6 +47,24 @@ class TestRingOperations:
             series(0, 1, 2, 3).coefficient(n)
 
 
+class TestConstruction:
+    def test_a_list_is_stored_as_a_tuple(self):
+        assert PowerSeries([0, 1]) == PowerSeries((0, 1))
+        assert hash(PowerSeries([0, 1])) == hash(PowerSeries((0, 1)))
+
+    def test_rejects_a_float_coefficient(self):
+        with pytest.raises(SeriesError, match="must be integers"):
+            PowerSeries((0, 1, 0.5)).compositional_inverse()
+
+    def test_rejects_string_coefficients(self):
+        with pytest.raises(SeriesError, match="must be integers"):
+            PowerSeries.from_list("012", 3)
+
+    def test_rejects_an_empty_series(self):
+        with pytest.raises(SeriesError, match="at least the constant coefficient"):
+            PowerSeries(())
+
+
 class TestCompositionalInverse:
     def test_identity(self):
         assert PowerSeries.identity(5).compositional_inverse() == PowerSeries.identity(5)

@@ -60,6 +60,7 @@ class TestParseRender:
         [
             "", "1(", "2(1,1)", "1(3)", "a(b)", "1(2))", "0", "1(2) x",
             "2(01)", "1(\u0662)", "1(\u00b2)",  # leading zero, non-ASCII digits
+            "1(2", "1(2]",  # an open child list that does not close
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -76,6 +77,12 @@ class TestParseRender:
         t = parse_tree(chain)
         assert t.n == 1200 and degree(t) == 1199
         assert str(t) == chain
+
+    def test_rejects_empty_and_disconnected_parent_maps(self):
+        with pytest.raises(TreeError, match="at least one vertex"):
+            LabelledRootedTree({})
+        with pytest.raises(TreeError, match="do not reach the root"):
+            LabelledRootedTree({1: 2, 2: 1, 3: None})
 
     def test_rejects_bool_labels(self):
         with pytest.raises(TreeError):
@@ -129,11 +136,16 @@ class TestJson:
             '{"n":2,"parent":[0,0]}',
             '{"n":2,"parent":[2,1]}',
             '{"n":2,"parent":[0,5]}',
+            '{"n":3,"parent":[2,1,0]}',
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(TreeError):
             tree_from_json(text)
+
+    def test_rejects_tree_that_is_not_standard(self):
+        with pytest.raises(TreeError, match="standard trees only"):
+            tree_to_json(LabelledRootedTree({2: None, 3: 2}))
 
 
 class TestIsStandard:
@@ -260,6 +272,12 @@ class TestRelabelAndAction:
         assert str(act({1: 2, 2: 1}, t)) == "2(1)"
         fork = parse_tree("1(2,3)")
         assert act({1: 1, 2: 3, 3: 2}, fork) == fork
+
+    def test_act_rejects_bad_arguments(self):
+        with pytest.raises(TreeError, match="not a permutation"):
+            act({1: 1, 2: 1}, parse_tree("1(2)"))
+        with pytest.raises(TreeError, match="defined on standard trees"):
+            act({2: 3, 3: 2}, LabelledRootedTree({2: None, 3: 2}))
 
 
 class TestGapEpsilon:
