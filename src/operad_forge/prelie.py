@@ -26,9 +26,9 @@ from .trees import (
 GraftMap = Mapping[int, int]
 
 
-def _check_compose_args(i: int, n: int, *trees: LabelledRootedTree) -> None:
-    """Reject a position outside 1..n, and any of ``trees`` that is not standard."""
-    if not all(t.is_standard for t in trees):
+def _check_compose_args(i: int, n: int, standard: bool = True) -> None:
+    """The one check on a composition: its trees standard, its position an int in 1..n."""
+    if not standard:
         raise TreeError("composition is defined on standard trees")
     if type(i) is not int or not 1 <= i <= n:
         raise TreeError(f"position {i!r} out of range for arity {n}")
@@ -42,7 +42,7 @@ def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
     map sends them to ``targets`` (trusted to lie in 1..m).  Each call
     patches only the children's slots of a base built once.
     """
-    _check_compose_args(i, tree.n, tree, inserted)
+    _check_compose_args(i, tree.n, tree.is_standard and inserted.is_standard)
     par, ins = tree._par, inserted._par
     d, up = i - 1, len(ins) - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
@@ -130,8 +130,8 @@ class TreeSum:
                 raise TreeError(f"term {tree} has arity {tree.n}, expected {arity}")
             if type(coeff) is not int:
                 raise TreeError(f"coefficient {coeff!r} of {tree} is not an integer")
-            terms[tree] = terms.get(tree, 0) + coeff
-            if not terms[tree]:
+            terms[tree] = total = terms.get(tree, 0) + coeff
+            if not total:
                 del terms[tree]
         return self
 
@@ -214,7 +214,7 @@ def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
         for s, cs in b._terms.items():
             graft, children = _graft_kernel(t, i, s)
             maps = itertools.product(range(1, s.n + 1), repeat=len(children))
-            out._merge((term, ct * cs) for term in map(graft, maps))
+            out._merge(zip(map(graft, maps), itertools.repeat(ct * cs)))
     return out
 
 
@@ -238,7 +238,7 @@ def degree_bounds(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> tuple[int, int]:
     """Exact lower and upper bounds for term degrees of the composition."""
-    _check_compose_args(i, tree.n, tree, inserted)
+    _check_compose_args(i, tree.n, tree.is_standard and inserted.is_standard)
     m = inserted.n
     lo = (
         degree(tree)
