@@ -150,12 +150,11 @@ class TestTreeSum:
             lambda: TreeSum(2, {parse_tree("1(2)"): 1.5}),
             lambda: 1.5 * TreeSum.single(parse_tree("1(2)")),
             lambda: TreeSum.single(parse_tree("1(2)"), True),
-            lambda: TreeSum(2.5),
             lambda: TreeSum(-1),
             lambda: TreeSum(3, {"x": 1}),
         ],
-        ids=["float-term", "float-scalar", "bool-coefficient", "float-arity",
-             "negative-arity", "term-not-a-tree"],
+        ids=["float-term", "float-scalar", "bool-coefficient", "negative-arity",
+             "term-not-a-tree"],
     )
     def test_rejects_what_is_not_an_integer_combination_of_trees(self, make):
         with pytest.raises(TreeError):
