@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees, restrict
+from .trees import LabelledRootedTree, TreeError, _arity, _standard, enumerate_trees, restrict
 from .set_operads import SET_COMPOSE, compose_max
 
 
@@ -29,6 +29,10 @@ class Witness(NamedTuple):
 
 
 def _witness_at(tree: LabelledRootedTree, a: int, b: int) -> Optional[Witness]:
+    # only a non-trivial interval: 1 <= a < b <= n, and not [1, n] itself
+    n = len(tree._par)
+    if not 1 <= a < b <= n or (a == 1 and b == n):
+        return None
     # (i) the interval induces a single connected block, rooted at c
     block = restrict(tree, range(a, b + 1))
     if len(block) != 1:
@@ -45,18 +49,15 @@ def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
     # the non-trivial witnesses, each before any witness that contains it:
     # a contained interval either ends sooner or, ending at b, starts later
     # (reverse: starts later or, starting at a, ends sooner)
-    if not tree.is_standard:
-        raise TreeError("decomposition is defined on standard trees")
-    n = tree.n
+    n = len(_standard(tree))
     if reverse:
         intervals = ((a, b) for a in range(n - 1, 0, -1) for b in range(a + 1, n + 1))
     else:
         intervals = ((a, b) for b in range(2, n + 1) for a in range(b - 1, 0, -1))
     for a, b in intervals:
-        if (a, b) != (1, n):
-            w = _witness_at(tree, a, b)
-            if w is not None:
-                yield w
+        w = _witness_at(tree, a, b)
+        if w is not None:
+            yield w
 
 
 def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
@@ -66,7 +67,7 @@ def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
 
 def is_indecomposable(tree: LabelledRootedTree) -> bool:
     """True when no witness exists; only defined for arity >= 2."""
-    if tree.n < 2:
+    if len(_standard(tree)) < 2:
         raise TreeError("generators have arity at least 2")
     return next(_scan(tree), None) is None
 
@@ -78,11 +79,12 @@ def split(
 
     Returns (outer, inner) with ``compose_max(outer, a, inner) == tree``.
     """
+    par = _standard(tree)
     ints = isinstance(witness, tuple) and [type(x) for x in witness] == [int] * 3
-    if not (ints and tree.is_standard and _witness_at(tree, *witness[:2]) == witness):
+    if not (ints and _witness_at(tree, *witness[:2]) == witness):
         raise TreeError(f"{witness!r} is not a witness for {tree}")
     a, b, c = witness
-    par, d, width = tree._par, a - 1, b - a
+    d, width = a - 1, b - a
     # outer labels: below a unchanged, the block contracted to a, above b
     # shifted down; the contracted vertex takes the parent of c
     contracted = [p if p < a else max(a, p - width) for p in par]
@@ -108,12 +110,13 @@ class OperationTree:
     arity: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.node, LabelledRootedTree):
-            raise TreeError(f"generator {self.node!r} is not a LabelledRootedTree")
-        if len(self.slots) != self.node.n:
-            raise TreeError(
-                f"generator {self.node} needs {self.node.n} slots, got {len(self.slots)}"
-            )
+        n = len(_standard(self.node))
+        try:
+            object.__setattr__(self, "slots", tuple(self.slots))
+        except TypeError:
+            raise TreeError(f"slots {self.slots!r} are not a sequence") from None
+        if len(self.slots) != n:
+            raise TreeError(f"generator {self.node} needs {n} slots, got {len(self.slots)}")
         arity = 0
         for s in self.slots:
             if s is not None and not isinstance(s, OperationTree):
@@ -174,7 +177,7 @@ def factorize(
     witness inside it.  The scan order is a tie-break only, since the
     full factorization is unique.
     """
-    if tree.n < 2:
+    if len(_standard(tree)) < 2:
         raise TreeError("only trees of arity >= 2 factorize")
     slots = [None] * tree.n  # the word standing at each input of what is left
     while (w := next(_scan(tree, reverse_scan), None)) is not None:

@@ -15,6 +15,7 @@ from .trees import (
     LabelledRootedTree,
     TreeError,
     _arity,
+    _standard,
     act,
     degree,
     enumerate_trees,
@@ -26,10 +27,8 @@ from .trees import (
 GraftMap = Mapping[int, int]
 
 
-def _check_compose_args(i: int, n: int, standard: bool = True) -> None:
-    """The one check on a composition: its trees standard, its position an int in 1..n."""
-    if not standard:
-        raise TreeError("composition is defined on standard trees")
+def _check_compose_args(i: int, n: int) -> None:
+    """The one check on a composition position: an int in 1..n."""
     if type(i) is not int or not 1 <= i <= n:
         raise TreeError(f"position {i!r} out of range for arity {n}")
 
@@ -42,8 +41,8 @@ def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
     map sends them to ``targets`` (trusted to lie in 1..m).  Each call
     patches only the children's slots of a base built once.
     """
-    _check_compose_args(i, tree.n, tree.is_standard and inserted.is_standard)
-    par, ins = tree._par, inserted._par
+    par, ins = _standard(tree), _standard(inserted)
+    _check_compose_args(i, len(par))
     d, up = i - 1, len(ins) - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
     base = out[:d] + [q + d if q else out[d] for q in ins] + out[i:]
@@ -72,8 +71,8 @@ def graft_compose(
     shift up by m-1, so the result is standard of arity n+m-1.  Each
     child j of i becomes a child of the shifted vertex f(j)+i-1.
     """
-    m = inserted.n
     graft, children = _graft_kernel(tree, i, inserted)
+    m = inserted.n
     if f.keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
@@ -124,9 +123,7 @@ class TreeSum:
         """Add (tree, coefficient) pairs into this new sum; a zero total drops its term."""
         terms, arity = self._terms, self._arity
         for tree, coeff in pairs:
-            if not isinstance(tree, LabelledRootedTree):
-                raise TreeError(f"term {tree!r} is not a tree")
-            if tree.n != arity:
+            if len(_standard(tree)) != arity:
                 raise TreeError(f"term {tree} has arity {tree.n}, expected {arity}")
             if type(coeff) is not int:
                 raise TreeError(f"coefficient {coeff!r} of {tree} is not an integer")
@@ -137,7 +134,7 @@ class TreeSum:
 
     @classmethod
     def single(cls, tree: LabelledRootedTree, coeff: int = 1) -> "TreeSum":
-        return cls(tree.n, {tree: coeff})
+        return cls(len(_standard(tree)), {tree: coeff})
 
     @property
     def arity(self) -> int:
@@ -157,6 +154,8 @@ class TreeSum:
         return len(self._terms)
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
+        if not isinstance(other, TreeSum):
+            raise TreeError(f"cannot add {other!r} to a sum of trees")
         if other._arity != self._arity:
             raise TreeError("cannot add sums of different arities")
         return TreeSum(self._arity, self._terms)._merge(other._terms.items())
@@ -165,9 +164,11 @@ class TreeSum:
         return -1 * self
 
     def __sub__(self, other: "TreeSum") -> "TreeSum":
-        return self + (-other)
+        return -(-self + other)  # __add__ checks other before anything negates it
 
     def __rmul__(self, scalar: int) -> "TreeSum":
+        if type(scalar) is not int:
+            raise TreeError(f"scalar {scalar!r} is not an integer")
         return TreeSum(self._arity)._merge((t, scalar * c) for t, c in self._terms.items())
 
     def map_trees(self, fn) -> "TreeSum":
@@ -208,6 +209,8 @@ def compose_pl(
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums."""
+    if not (isinstance(a, TreeSum) and isinstance(b, TreeSum)):
+        raise TreeError(f"linear composition takes two TreeSums, got {a!r} and {b!r}")
     _check_compose_args(i, a.arity)
     out = TreeSum(a.arity + b.arity - 1)
     for t, ct in a._terms.items():
@@ -238,8 +241,8 @@ def degree_bounds(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> tuple[int, int]:
     """Exact lower and upper bounds for term degrees of the composition."""
-    _check_compose_args(i, tree.n, tree.is_standard and inserted.is_standard)
-    m = inserted.n
+    _check_compose_args(i, len(_standard(tree)))
+    m = len(_standard(inserted))
     lo = (
         degree(tree)
         + degree(inserted)

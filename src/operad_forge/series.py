@@ -24,7 +24,10 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        try:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        except TypeError:
+            raise SeriesError(f"coefficients must be a sequence, got {self.coeffs!r}") from None
         if not self.coeffs:
             raise SeriesError("a series needs at least the constant coefficient")
         if set(map(type, self.coeffs)) != {int}:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .trees import LabelledRootedTree, TreeError, _arity, enumerate_trees
+from .trees import LabelledRootedTree, TreeError, _arity, _standard, enumerate_trees
 from .prelie import (
     TreeSum,
     _check_compose_args,
@@ -33,7 +33,8 @@ def f_nap_map(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> dict[int, int]:
     """Every displaced child regrafts onto the root of the inserted tree."""
-    _check_compose_args(i, tree.n)
+    _check_compose_args(i, len(_standard(tree)))
+    _standard(inserted)
     return {k: inserted.root for k in tree.children(i)}
 
 

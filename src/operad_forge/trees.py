@@ -80,9 +80,7 @@ class LabelledRootedTree:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        if self._par is not None:
-            return tuple(range(1, len(self._par) + 1))
-        return tuple(v for v, _ in self._key)
+        return tuple([v for v, _ in self._pairs()])
 
     @property
     def is_standard(self) -> bool:
@@ -99,22 +97,21 @@ class LabelledRootedTree:
                 return self._par[v - 1] or None
         raise TreeError(f"no vertex labelled {v!r}")
 
+    def _pairs(self) -> Iterable[tuple[int, int | None]]:
+        # the (label, parent) pairs in label order, the root's parent falsy
+        return self._key if self._par is None else enumerate(self._par, 1)
+
     def children(self, v: int) -> tuple[int, ...]:
         """The children of v in ascending label order."""
         self.parent_of(v)  # raises TreeError for an unknown label
-        pairs = self._key if self._par is None else enumerate(self._par, 1)
-        return tuple([w for w, p in pairs if p == v])
+        return tuple([w for w, p in self._pairs() if p == v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, ordered by child label."""
-        if self._par is not None:
-            return [(v, p) for v, p in enumerate(self._par, 1) if p]
-        return [(v, p) for v, p in self._key if p is not None]
+        return [(v, p) for v, p in self._pairs() if p]
 
     def parent_map(self) -> dict[int, int | None]:
-        if self._par is None:
-            return dict(self._key)
-        return {v: p or None for v, p in enumerate(self._par, 1)}
+        return {v: p or None for v, p in self._pairs()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelledRootedTree):
@@ -197,11 +194,18 @@ def parse_tree(text: str) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(par, next(iter(parent)))
 
 
+def _standard(tree: LabelledRootedTree) -> tuple[int, ...]:
+    # the one guard of every entry defined on standard trees only: their parent tuple
+    if not isinstance(tree, LabelledRootedTree):
+        raise TreeError(f"{tree!r} is not a LabelledRootedTree")
+    if tree._par is None:
+        raise TreeError(f"{tree} is not standard: defined on standard trees only")
+    return tree._par
+
+
 def tree_to_json(tree: LabelledRootedTree) -> str:
     """JSON form ``{"n": n, "parent": [...]}`` with 0 marking the root."""
-    if not tree.is_standard:
-        raise TreeError("JSON form is defined for standard trees only")
-    return json.dumps({"n": tree.n, "parent": list(tree._par)})
+    return json.dumps({"n": len(par := _standard(tree)), "parent": list(par)})
 
 
 def tree_from_json(text: str) -> LabelledRootedTree:
@@ -340,9 +344,8 @@ def order_relabel(
 
 def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTree:
     """Permute the labels of a standard tree by sigma."""
-    if not tree.is_standard:
-        raise TreeError("permutation action is defined on standard trees")
-    if sorted(sigma) != list(tree.labels) or sorted(sigma.values()) != list(tree.labels):
+    labels = list(range(1, len(_standard(tree)) + 1))
+    if sorted(sigma) != labels or sorted(sigma.values()) != labels:
         raise TreeError("sigma is not a permutation of the label set")
     return LabelledRootedTree(
         {sigma[v]: (sigma[p] if p is not None else None) for v, p in tree.parent_map().items()}

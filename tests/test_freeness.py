@@ -153,7 +153,11 @@ class TestSplit:
     def test_split_inverts_compose_max(self, o, s, data):
         a = data.draw(st.integers(min_value=1, max_value=o.n))
         w = Witness(a, a + s.n - 1, s.root + a - 1)
-        assert split(compose_max(o, a, s), w) == (o, s)
+        if o.n == 1 or s.n == 1:  # a unit composition leaves no non-trivial interval
+            with pytest.raises(TreeError, match="is not a witness"):
+                split(compose_max(o, a, s), w)
+        else:
+            assert split(compose_max(o, a, s), w) == (o, s)
 
     def test_invalid_witness_rejected(self):
         with pytest.raises(TreeError):
@@ -174,6 +178,14 @@ class TestSplit:
     def test_rejects_witness_that_is_not_three_ints(self, text, witness):
         with pytest.raises(TreeError, match="is not a witness"):
             split(parse_tree(text), witness)
+
+    @pytest.mark.parametrize(
+        "witness", [(1, 3, 2), (2, 2, 2), (3, 1, 2)], ids=["whole", "one-label", "empty"]
+    )
+    def test_rejects_trivial_interval(self, witness):
+        # 2(1,3) is indecomposable: neither [1, 3] nor an empty or one-label interval splits it
+        with pytest.raises(TreeError, match="is not a witness"):
+            split(parse_tree("2(1,3)"), witness)
 
 
 class TestOperationTrees:
@@ -197,6 +209,13 @@ class TestOperationTrees:
     def test_rejects_node_that_is_not_a_tree(self, node):
         with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
             OperationTree(node, (None, None))
+
+    def test_slots_are_stored_as_a_tuple(self):
+        assert OperationTree(parse_tree("1(2)"), [None, None]).slots == (None, None)
+
+    def test_rejects_slots_that_are_not_a_sequence(self):
+        with pytest.raises(TreeError, match="are not a sequence"):
+            OperationTree(parse_tree("1(2)"), None)
 
     def test_rejects_slot_count_other_than_the_arity(self):
         with pytest.raises(TreeError, match="needs 2 slots, got 1"):

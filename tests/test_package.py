@@ -1,5 +1,6 @@
 """The package root exports exactly the names listed in ``__all__``,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and no module but trees.py
+reads whether a tree is standard."""
 
 import ast
 import pathlib
@@ -49,6 +50,23 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
         ):
             read.update(ast.literal_eval(node.value))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def _tree_internals(path: pathlib.Path) -> list[str]:
+    # whether a tree is standard, and its sorted-items key, are known to trees.py alone
+    module = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and node.attr in ("is_standard", "_key")
+    ]
+
+
+def test_only_trees_reads_standardness_or_the_key():
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "operad_forge"
+    files = [path for path in sorted(root.glob("*.py")) if path.name != "trees.py"]
+    assert files
+    assert [entry for path in files for entry in _tree_internals(path)] == []
 
 
 def test_no_unused_imports():

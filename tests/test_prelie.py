@@ -160,6 +160,23 @@ class TestTreeSum:
         with pytest.raises(TreeError):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TreeSum.single("x"),
+            lambda: TreeSum(2) + 3,
+            lambda: TreeSum(2) - 3,
+            lambda: compose_pl_linear(TreeSum(2), 1, "x"),
+            lambda: compose_pl_linear("x", 1, TreeSum(2)),
+            lambda: True * TreeSum.single(parse_tree("1(2)")),
+        ],
+        ids=["single-of-a-string", "add-an-int", "subtract-an-int", "linear-inner-string",
+             "linear-outer-string", "bool-scalar"],
+    )
+    def test_rejects_operand_of_the_wrong_type(self, make):
+        with pytest.raises(TreeError):
+            make()
+
     def test_rejects_terms_of_another_arity(self):
         with pytest.raises(TreeError, match="has arity 2, expected 3"):
             TreeSum(3, {parse_tree("1(2)"): 1})

@@ -60,6 +60,10 @@ class TestConstruction:
         with pytest.raises(SeriesError, match="must be integers"):
             PowerSeries.from_list("012", 3)
 
+    def test_rejects_coefficients_that_are_not_a_sequence(self):
+        with pytest.raises(SeriesError, match="must be a sequence"):
+            PowerSeries(5)
+
     def test_rejects_an_empty_series(self):
         with pytest.raises(SeriesError, match="at least the constant coefficient"):
             PowerSeries(())

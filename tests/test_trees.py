@@ -18,6 +18,25 @@ from operad_forge.trees import (
     tree_from_json,
     tree_to_json,
 )
+from operad_forge.prelie import (
+    TreeSum,
+    _graft_kernel,
+    compose_pl,
+    degree_bounds,
+    graft_compose,
+    max_term,
+    min_term,
+)
+from operad_forge.set_operads import compose_max, compose_min, compose_nap, f_nap_map
+from operad_forge.freeness import (
+    OperationTree,
+    Witness,
+    _scan,
+    decomposition_witnesses,
+    factorize,
+    is_indecomposable,
+    split,
+)
 
 from conftest import standard_trees
 
@@ -316,3 +335,52 @@ class TestInVertices:
         assert t.children(2) == (1, 3)
         assert t.children(1) == ()
         assert parse_tree(X_TEXT).children(3) == (4, 7)
+
+
+MU = parse_tree("1(2)")
+# every entry defined on standard trees only, with x in the place of one tree argument
+STANDARD_ONLY = {
+    "_graft_kernel outer": lambda x: _graft_kernel(x, 1, MU),
+    "_graft_kernel inner": lambda x: _graft_kernel(MU, 1, x),
+    "degree_bounds outer": lambda x: degree_bounds(x, 1, MU),
+    "degree_bounds inner": lambda x: degree_bounds(MU, 1, x),
+    "f_nap_map outer": lambda x: f_nap_map(x, 1, MU),
+    "f_nap_map inner": lambda x: f_nap_map(MU, 1, x),
+    "TreeSum._merge": lambda x: TreeSum(2, {x: 1}),
+    "TreeSum.single": lambda x: TreeSum.single(x),
+    "_scan": lambda x: list(_scan(x)),
+    "split": lambda x: split(x, Witness(2, 3, 2)),
+    "OperationTree": lambda x: OperationTree(x, (None, None)),
+    "is_indecomposable": is_indecomposable,
+    "factorize": factorize,
+    "tree_to_json": tree_to_json,
+    "act": lambda x: act({1: 1, 2: 2}, x),
+    "compose_max outer": lambda x: compose_max(x, 1, MU),
+    "compose_max inner": lambda x: compose_max(MU, 1, x),
+    "compose_min outer": lambda x: compose_min(x, 1, MU),
+    "compose_min inner": lambda x: compose_min(MU, 1, x),
+    "compose_nap outer": lambda x: compose_nap(x, 1, MU),
+    "compose_nap inner": lambda x: compose_nap(MU, 1, x),
+    "graft_compose outer": lambda x: graft_compose(x, 1, MU, {2: 1}),
+    "graft_compose inner": lambda x: graft_compose(MU, 1, x, {2: 1}),
+    "compose_pl outer": lambda x: compose_pl(x, 1, MU),
+    "compose_pl inner": lambda x: compose_pl(MU, 1, x),
+    "min_term outer": lambda x: min_term(x, 1, MU),
+    "min_term inner": lambda x: min_term(MU, 1, x),
+    "max_term outer": lambda x: max_term(x, 1, MU),
+    "max_term inner": lambda x: max_term(MU, 1, x),
+    "decomposition_witnesses": decomposition_witnesses,
+}
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["1(2)", order_relabel(parse_tree("1(2)"), [2, 3])],
+    ids=["string", "labels 2,3"],
+)
+@pytest.mark.parametrize("entry", list(STANDARD_ONLY))
+def test_standard_only_entries_reject_anything_else(entry, x):
+    with pytest.raises(
+        TreeError, match="is not (a LabelledRootedTree|standard: defined on standard trees only)"
+    ):
+        STANDARD_ONLY[entry](x)
