@@ -16,7 +16,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .trees import LabelledRootedTree, TreeError, _arity, _standard, enumerate_trees, restrict
+from .trees import (
+    LabelledRootedTree,
+    TreeError,
+    _arity,
+    _expect,
+    _prufer_parents,
+    _reroot,
+    _standard,
+    restrict,
+)
+from .sweep import _sweep
 from .set_operads import SET_COMPOSE, compose_max
 
 
@@ -157,7 +167,7 @@ def evaluate(
     word: OperationTree, compose: Callable = compose_max
 ) -> LabelledRootedTree:
     """Fold an operation tree bottom-up with the given set composition."""
-    result = word.node
+    result = _expect(word, OperationTree).node
     # rightmost slot first, so earlier input positions stay put
     for idx in range(len(word.slots), 0, -1):
         slot = word.slots[idx - 1]
@@ -193,7 +203,13 @@ def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    found = [t for t in enumerate_trees(n) if is_indecomposable(t)]
+    # enumerate_trees(n), one Prüfer sequence per sweep item
+    def generators(seq) -> list[LabelledRootedTree]:
+        par = _prufer_parents(seq, n)
+        return [t for root in range(1, n + 1) if is_indecomposable(t := _reroot(par, root))]
+
+    seqs = list(itertools.product(range(1, n + 1), repeat=n - 2))
+    found = [t for share in _sweep(seqs, generators) for t in share]
     return tuple(sorted(found, key=str))
 
 

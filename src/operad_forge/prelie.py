@@ -23,6 +23,7 @@ from .trees import (
     gap,
     parse_tree,
 )
+from .sweep import _sweep
 
 GraftMap = Mapping[int, int]
 
@@ -261,29 +262,33 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     graft map, namely the extremal maps.  Returns failure descriptions.
     """
     _arity(max_arity, 2, "max_arity must be at least 2")
-    failures: list[str] = []
     basis = [t for n in range(1, max_arity + 1) for t in enumerate_trees(n)]
-    for t in basis:
-        for i in range(1, t.n + 1):
-            for s in basis:
-                lo, hi = degree_bounds(t, i, s)
-                graft, children = _graft_kernel(t, i, s)
-                maps = itertools.product(range(1, s.n + 1), repeat=len(children))
-                degs = [degree(graft(f)) for f in maps]
-                # one graft map at least, so lo == hi forces a single degree
-                ok = (
-                    min(degs) == lo
-                    and max(degs) == hi
-                    and degs.count(lo) == 1
-                    and degs.count(hi) == 1
-                    and degree(min_term(t, i, s)) == lo
-                    and degree(max_term(t, i, s)) == hi
+
+    def extremal(item) -> list[str]:
+        t, i = item
+        failures: list[str] = []
+        for s in basis:
+            lo, hi = degree_bounds(t, i, s)
+            graft, children = _graft_kernel(t, i, s)
+            maps = itertools.product(range(1, s.n + 1), repeat=len(children))
+            degs = [degree(graft(f)) for f in maps]
+            # one graft map at least, so lo == hi forces a single degree
+            ok = (
+                min(degs) == lo
+                and max(degs) == hi
+                and degs.count(lo) == 1
+                and degs.count(hi) == 1
+                and degree(min_term(t, i, s)) == lo
+                and degree(max_term(t, i, s)) == hi
+            )
+            if not ok:
+                failures.append(
+                    f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
                 )
-                if not ok:
-                    failures.append(
-                        f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
-                    )
-    return failures
+        return failures
+
+    items = [(t, i) for t in basis for i in range(1, t.n + 1)]
+    return [line for found in _sweep(items, extremal) for line in found]
 
 
 def pre_lie_associator(mu: LabelledRootedTree) -> TreeSum:

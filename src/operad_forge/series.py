@@ -17,6 +17,13 @@ class SeriesError(ValueError):
     """A series operation was called outside its domain."""
 
 
+def _series(other) -> "PowerSeries":
+    # the one type check on a series operand
+    if not isinstance(other, PowerSeries):
+        raise SeriesError(f"{other!r} is not a PowerSeries")
+    return other
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Coefficients c_0..c_N of a series truncated at order N."""
@@ -62,16 +69,16 @@ class PowerSeries:
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         # zip stops at the shorter series: the sum is known to the common order
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, _series(other).coeffs)))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + -other
+        return self + -_series(other)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
+        order = min(self.order, _series(other).order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
@@ -82,7 +89,7 @@ class PowerSeries:
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)); inner must have zero constant term."""
-        if inner.coefficient(0) != 0:
+        if _series(inner).coefficient(0) != 0:
             raise SeriesError("composition needs a zero constant term")
         order = min(self.order, inner.order)
         # Horner from the top coefficient down

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .trees import LabelledRootedTree, TreeError, _arity, _standard, enumerate_trees
+from .sweep import _sweep
 from .prelie import (
     TreeSum,
     _check_compose_args,
@@ -96,32 +97,43 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         for n in arities for x in basis[n] for m in arities for y in basis[m]
     }
     unit = basis[1][0]
-    violations: list[Violation] = []
 
-    def check(axiom, a, b, c, i, j, lhs, rhs) -> None:
+    def check(found, axiom, a, b, c, i, j, lhs, rhs) -> None:
         if lhs != rhs:
-            violations.append(
+            found.append(
                 Violation(axiom, str(a), str(b), str(c), i, j, str(lhs), str(rhs))
             )
 
-    # unit laws
-    for n in arities:
-        for a in basis[n]:
-            check("unitL", a, "1", "-", 1, 0, at[unit, a][0], a)
-            for i in range(1, n + 1):
-                check("unitR", a, "1", "-", i, 0, at[a, unit][i - 1], a)
-    # associativity, sequential and parallel
-    for n, m, ell in itertools.product(arities, repeat=3):
-        for a, b, c in itertools.product(basis[n], basis[m], basis[ell]):
-            ab_at, bc_at, ac_at = at[a, b], at[b, c], at[a, c]
+    def associativity(item) -> list[Violation]:
+        # sequential and parallel, for one (a, b) and every c of arity ell
+        n, m, ell, a, b = item
+        found: list[Violation] = []
+        ab_at = at[a, b]
+        for c in basis[ell]:
+            bc_at, ac_at = at[b, c], at[a, c]
             for i in range(1, n + 1):
                 ab = ab_at[i - 1]
                 for j in range(1, m + 1):
                     lhs = compose(ab, j + i - 1, c)
                     rhs = compose(a, i, bc_at[j - 1])
-                    check("seq", a, b, c, i, j, lhs, rhs)
+                    check(found, "seq", a, b, c, i, j, lhs, rhs)
                 for j in range(1, i):
                     lhs = compose(ab, j, c)
                     rhs = compose(ac_at[j - 1], i + ell - 1, b)
-                    check("par", a, b, c, i, j, lhs, rhs)
+                    check(found, "par", a, b, c, i, j, lhs, rhs)
+        return found
+
+    violations: list[Violation] = []
+    for n in arities:
+        for a in basis[n]:
+            check(violations, "unitL", a, "1", "-", 1, 0, at[unit, a][0], a)
+            for i in range(1, n + 1):
+                check(violations, "unitR", a, "1", "-", i, 0, at[a, unit][i - 1], a)
+    items = [
+        (n, m, ell, a, b)
+        for n, m, ell in itertools.product(arities, repeat=3)
+        for a, b in itertools.product(basis[n], basis[m])
+    ]
+    for found in _sweep(items, associativity):
+        violations += found
     return violations

@@ -194,11 +194,17 @@ def parse_tree(text: str) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(par, next(iter(parent)))
 
 
+def _expect(obj, cls=LabelledRootedTree):
+    # the one type check on an argument: obj itself when it is a cls
+    if not isinstance(obj, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TreeError(f"{obj!r} is not {article} {cls.__name__}")
+    return obj
+
+
 def _standard(tree: LabelledRootedTree) -> tuple[int, ...]:
     # the one guard of every entry defined on standard trees only: their parent tuple
-    if not isinstance(tree, LabelledRootedTree):
-        raise TreeError(f"{tree!r} is not a LabelledRootedTree")
-    if tree._par is None:
+    if _expect(tree)._par is None:
         raise TreeError(f"{tree} is not standard: defined on standard trees only")
     return tree._par
 
@@ -290,7 +296,7 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
 
 def degree(tree: LabelledRootedTree) -> int:
     """Sum of |a - b| over all edges {a, b}."""
-    return sum(abs(v - p) for v, p in tree.edges())
+    return sum(abs(v - p) for v, p in _expect(tree).edges())
 
 
 def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRootedTree, ...]:
@@ -299,6 +305,7 @@ def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRoo
     Components are sorted by root label, and each is rooted at its
     vertex closest to the ambient root; labels are preserved.
     """
+    _expect(tree)
     kept = set(keep)
     if not kept:
         raise TreeError("cannot restrict to an empty label set")
@@ -332,7 +339,7 @@ def order_relabel(
     tree: LabelledRootedTree, target: Sequence[int]
 ) -> LabelledRootedTree:
     """Relabel by the unique order-preserving bijection onto ``target``."""
-    source = tree.labels
+    source = _expect(tree).labels
     tgt = sorted(set(target))
     if len(tgt) != len(target) or len(tgt) != len(source):
         raise TreeError(f"target needs {len(source)} distinct labels, got {list(target)}")
@@ -354,7 +361,7 @@ def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTre
 
 def gap(tree: LabelledRootedTree, i: int) -> int:
     """Count edges with neither endpoint equal to i that strictly straddle i."""
-    tree.parent_of(i)  # raises TreeError for an unknown label
+    _expect(tree).parent_of(i)  # raises TreeError for an unknown label
     count = 0
     for v, p in tree.edges():
         if v == i or p == i:

@@ -314,3 +314,27 @@ def test_failed_verification_stdout(capsys, monkeypatch, check):
     put_fault(monkeypatch)
     code, out = run(capsys, *command.split())
     assert (code, sha256(out)) == (1, digest)
+
+
+def two_workers(monkeypatch):
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    freeness.indecomposables.cache_clear()  # so that the generators are swept again
+
+
+@pytest.mark.parametrize("command", list(README_STDOUT))
+def test_readme_command_stdout_on_two_workers(capsys, monkeypatch, command):
+    two_workers(monkeypatch)
+    code = main(shlex.split(command)[1:])
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out)) == README_STDOUT[command]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("check", list(FAIL_STDOUT))
+def test_failed_verification_stdout_on_two_workers(capsys, monkeypatch, check):
+    command, put_fault, digest = FAIL_STDOUT[check]
+    two_workers(monkeypatch)
+    put_fault(monkeypatch)
+    code, out = run(capsys, *command.split())
+    assert (code, sha256(out)) == (1, digest)

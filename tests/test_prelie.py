@@ -298,7 +298,9 @@ class TestExtremalTerms:
     def test_exhaustive_small(self):
         assert check_extremal_terms(3) == []
 
-    def test_failures_are_reported_in_loop_order(self, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failures_are_reported_in_loop_order(self, monkeypatch, threads):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
         monkeypatch.setattr(prelie, "max_term", prelie.min_term)
         failures = check_extremal_terms(3)
         assert len(failures) == 187

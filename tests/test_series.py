@@ -47,6 +47,22 @@ class TestRingOperations:
             series(0, 1, 2, 3).coefficient(n)
 
 
+@pytest.mark.parametrize("other", [5, (0, 1), "x", None], ids=["int", "tuple", "str", "None"])
+@pytest.mark.parametrize(
+    "op",
+    [
+        PowerSeries.__add__,
+        PowerSeries.__sub__,
+        PowerSeries.__mul__,
+        PowerSeries.compose,
+    ],
+    ids=["add", "sub", "mul", "compose"],
+)
+def test_ring_operations_reject_a_non_series(op, other):
+    with pytest.raises(SeriesError, match="is not a PowerSeries"):
+        op(series(0, 1, 1), other)
+
+
 class TestConstruction:
     def test_a_list_is_stored_as_a_tuple(self):
         assert PowerSeries([0, 1]) == PowerSeries((0, 1))

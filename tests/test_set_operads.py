@@ -149,7 +149,9 @@ def untabulated_violations(compose, max_arity):
     return found
 
 
-def test_violations_are_reported_in_loop_order(monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_violations_are_reported_in_loop_order(monkeypatch, threads):
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
     monkeypatch.setitem(SET_COMPOSE, "max", clamp_compose)
     found = check_axioms("max", 3)
     assert len(found) == 6665

@@ -33,6 +33,7 @@ from operad_forge.freeness import (
     Witness,
     _scan,
     decomposition_witnesses,
+    evaluate,
     factorize,
     is_indecomposable,
     split,
@@ -384,3 +385,25 @@ def test_standard_only_entries_reject_anything_else(entry, x):
         TreeError, match="is not (a LabelledRootedTree|standard: defined on standard trees only)"
     ):
         STANDARD_ONLY[entry](x)
+
+
+# entries defined on any tree (or, for evaluate, on any word)
+TREE_ENTRIES = {
+    "degree": degree,
+    "gap": lambda x: gap(x, 1),
+    "restrict": lambda x: restrict(x, [1]),
+    "order_relabel": lambda x: order_relabel(x, [1, 2]),
+    "evaluate": evaluate,
+}
+
+
+@pytest.mark.parametrize("x", ["1(2)", None, 5, ("1", "2")], ids=["string", "None", "int", "tuple"])
+@pytest.mark.parametrize("entry", list(TREE_ENTRIES))
+def test_tree_entries_reject_anything_else(entry, x):
+    with pytest.raises(TreeError, match="is not (a LabelledRootedTree|an OperationTree)"):
+        TREE_ENTRIES[entry](x)
+
+
+def test_evaluate_rejects_a_tree():
+    with pytest.raises(TreeError, match="is not an OperationTree"):
+        evaluate(parse_tree("1(2)"))
