@@ -21,8 +21,7 @@ from .trees import (
     TreeError,
     _arity,
     _expect,
-    _prufer_parents,
-    _reroot,
+    _rootings,
     _standard,
     restrict,
 )
@@ -203,10 +202,9 @@ def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    # enumerate_trees(n), one Prüfer sequence per sweep item
+    # the trees of enumerate_trees(n), one Prüfer sequence per sweep item
     def generators(seq) -> list[LabelledRootedTree]:
-        par = _prufer_parents(seq, n)
-        return [t for root in range(1, n + 1) if is_indecomposable(t := _reroot(par, root))]
+        return [t for t in _rootings(seq, n) if is_indecomposable(t)]
 
     seqs = list(itertools.product(range(1, n + 1), repeat=n - 2))
     found = [t for share in _sweep(seqs, generators) for t in share]

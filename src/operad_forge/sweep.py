@@ -12,28 +12,22 @@ count.
 from __future__ import annotations
 
 import os
-import signal
 import threading
 from typing import Callable, Sequence
 
 from .trees import TreeError
 
 
-def _threads() -> int:
+def _workers(count: int) -> int:
+    """Worker processes for a sweep of count items: the setting, capped."""
     value = os.environ.get("OPERAD_FORGE_THREADS", "1")
     if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise TreeError(f"OPERAD_FORGE_THREADS must be an integer of at least 1, got {value!r}")
-    return int(value)
-
-
-def _workers(count: int) -> int:
-    """Worker processes for a sweep of count items: the setting, capped."""
-    threads = _threads()
     if threading.active_count() > 1:
         return 1  # a fork copies only the calling thread, so beside others stay serial
     # the usable CPUs; where the OS cannot tell them, a sweep stays serial
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(threads, cpus, count)
+    return min(int(value), cpus, count)
 
 
 def _sweep(items: Sequence, work: Callable) -> list:
@@ -45,7 +39,9 @@ def _sweep(items: Sequence, work: Callable) -> list:
     workers = _workers(len(items))
     if workers <= 1:
         return [work(x) for x in items]
-    import pickle  # only a sharded sweep needs it
+    # imported here, so that the serial path and the CLI's startup pay for neither
+    import pickle
+    import signal
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:

@@ -268,6 +268,12 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(tuple(out), root)
 
 
+def _rootings(seq: Sequence[int], n: int) -> list[LabelledRootedTree]:
+    # the free tree with Prüfer sequence seq, rooted at 1, 2, ..., n in turn
+    par = _prufer_parents(seq, n)
+    return [_reroot(par, root) for root in range(1, n + 1)]
+
+
 def _arity(n: int, least: int | None = None, message: str = "", error=TreeError) -> int:
     # the one check on a count (an arity or a series order) or a series index:
     # n itself once it is an int of at least `least`; a bool, float or str raises
@@ -289,9 +295,7 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
         yield LabelledRootedTree({1: None})
         return
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        par = _prufer_parents(seq, n)
-        for root in range(1, n + 1):
-            yield _reroot(par, root)
+        yield from _rootings(seq, n)
 
 
 def degree(tree: LabelledRootedTree) -> int:
