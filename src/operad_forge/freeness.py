@@ -100,7 +100,7 @@ def split(
     outer = contracted[:d] + [contracted[c - 1]] + contracted[b:]
     inner = [p - d if a <= p <= b else 0 for p in par[d:b]]
     return (
-        LabelledRootedTree._from_par(tuple(outer), outer.index(0) + 1),
+        LabelledRootedTree._from_par(tuple(outer)),
         LabelledRootedTree._from_par(tuple(inner), c - d),
     )
 

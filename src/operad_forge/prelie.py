@@ -15,6 +15,7 @@ from .trees import (
     LabelledRootedTree,
     TreeError,
     _arity,
+    _degree,
     _standard,
     act,
     degree,
@@ -34,28 +35,32 @@ def _check_compose_args(i: int, n: int) -> None:
         raise TreeError(f"position {i!r} out of range for arity {n}")
 
 
-def _graft_kernel(tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree):
-    """The terms of T o_i S, sharing what no graft map changes.
+def _graft_kernel(par: tuple[int, ...], i: int, m: int):
+    """T's part of T o_i S, for every S of arity m.
 
-    Returns ``(graft, children)``: ``children`` lists the children of i
-    in ascending order, and ``graft(targets)`` is the term whose graft
-    map sends them to ``targets`` (trusted to lie in 1..m).  Each call
-    patches only the children's slots of a base built once.
+    ``par`` is T's parent tuple.  Returns ``(graft, children)``:
+    ``children`` lists the children of i in ascending order, and
+    ``graft(ins, maps)`` lists the parent tuples of the terms for the S
+    with parent tuple ``ins``, one per target tuple in ``maps`` (each
+    the graft map's images of ``children``, trusted to lie in 1..m).
+    S's part is spliced in once per call; each term patches only the
+    children's slots.
     """
-    par, ins = _standard(tree), _standard(inserted)
     _check_compose_args(i, len(par))
-    d, up = i - 1, len(ins) - 1  # shifts of inserted labels and of tree labels above i
+    d, up = i - 1, m - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
-    base = out[:d] + [q + d if q else out[d] for q in ins] + out[i:]
+    head, hook, tail = out[:d], out[d], out[i:]  # hook: what S's root hangs on
     children = [k for k, p in enumerate(par, 1) if p == i]
     slots = [k - 1 if k < i else k + up - 1 for k in children]
-    root = base.index(0) + 1  # children's slots hold i + up, never 0
 
-    def graft(targets) -> LabelledRootedTree:
-        term = base[:]
-        for k, t in zip(slots, targets):
-            term[k] = t + d
-        return LabelledRootedTree._from_par(tuple(term), root)
+    def graft(ins: tuple[int, ...], maps) -> list[tuple[int, ...]]:
+        base = head + [q + d if q else hook for q in ins] + tail
+        terms = []
+        for targets in maps:
+            for k, t in zip(slots, targets):
+                base[k] = t + d
+            terms.append(tuple(base))
+        return terms
 
     return graft, children
 
@@ -72,14 +77,15 @@ def graft_compose(
     shift up by m-1, so the result is standard of arity n+m-1.  Each
     child j of i becomes a child of the shifted vertex f(j)+i-1.
     """
-    graft, children = _graft_kernel(tree, i, inserted)
-    m = inserted.n
+    par, ins = _standard(tree), _standard(inserted)
+    m = len(ins)
+    graft, children = _graft_kernel(par, i, m)
     if f.keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
         if type(target) is not int or not 1 <= target <= m:
             raise TreeError(f"graft target {target!r} out of range for arity {m}")
-    return graft([f[k] for k in children])
+    return LabelledRootedTree._from_par(graft(ins, [[f[k] for k in children]])[0])
 
 
 def graft_maps(
@@ -107,8 +113,11 @@ def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
 class TreeSum:
     """A formal integer combination of trees of one common arity.
 
-    Zero coefficients are dropped eagerly, so equality of sums is
-    equality of their term maps.  Instances are immutable.
+    Terms are stored by the trees' parent tuples, so hashing and
+    equality of terms run on tuples; :meth:`terms` and :meth:`trees`
+    build the trees on demand.  Zero coefficients are dropped eagerly,
+    so equality of sums is equality of their term maps.  Instances are
+    immutable.
     """
 
     __slots__ = ("_arity", "_terms")
@@ -117,20 +126,22 @@ class TreeSum:
         self, arity: int, terms: Mapping[LabelledRootedTree, int] | None = None
     ):
         self._arity = _arity(arity, 1, "a sum has arity at least 1")
-        self._terms: dict[LabelledRootedTree, int] = {}
-        self._merge((terms or {}).items())
+        self._terms: dict[tuple[int, ...], int] = {}
+        self._merge((_standard(t), c) for t, c in (terms or {}).items())
 
     def _merge(self, pairs) -> "TreeSum":
-        """Add (tree, coefficient) pairs into this new sum; a zero total drops its term."""
+        """Add (parent tuple, coefficient) pairs into this new sum; a zero total drops its term."""
         terms, arity = self._terms, self._arity
-        for tree, coeff in pairs:
-            if len(_standard(tree)) != arity:
+        for par, coeff in pairs:
+            if len(par) != arity:
+                tree = LabelledRootedTree._from_par(par)
                 raise TreeError(f"term {tree} has arity {tree.n}, expected {arity}")
             if type(coeff) is not int:
+                tree = LabelledRootedTree._from_par(par)
                 raise TreeError(f"coefficient {coeff!r} of {tree} is not an integer")
-            terms[tree] = total = terms.get(tree, 0) + coeff
+            terms[par] = total = terms.get(par, 0) + coeff
             if not total:
-                del terms[tree]
+                del terms[par]
         return self
 
     @classmethod
@@ -143,10 +154,11 @@ class TreeSum:
 
     def terms(self) -> list[tuple[LabelledRootedTree, int]]:
         """Terms sorted by canonical tree string."""
-        return sorted(self._terms.items(), key=lambda item: str(item[0]))
+        items = [(LabelledRootedTree._from_par(p), c) for p, c in self._terms.items()]
+        return sorted(items, key=lambda item: str(item[0]))
 
     def trees(self) -> set[LabelledRootedTree]:
-        return set(self._terms)
+        return set(map(LabelledRootedTree._from_par, self._terms))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -159,7 +171,7 @@ class TreeSum:
             raise TreeError(f"cannot add {other!r} to a sum of trees")
         if other._arity != self._arity:
             raise TreeError("cannot add sums of different arities")
-        return TreeSum(self._arity, self._terms)._merge(other._terms.items())
+        return TreeSum(self._arity)._merge(self._terms.items())._merge(other._terms.items())
 
     def __neg__(self) -> "TreeSum":
         return -1 * self
@@ -174,7 +186,9 @@ class TreeSum:
 
     def map_trees(self, fn) -> "TreeSum":
         """Apply fn to each basis tree, merging coefficients on collisions."""
-        return TreeSum(self._arity)._merge((fn(t), c) for t, c in self._terms.items())
+        return TreeSum(self._arity)._merge(
+            (_standard(fn(LabelledRootedTree._from_par(p))), c) for p, c in self._terms.items()
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSum):
@@ -213,12 +227,13 @@ def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     if not (isinstance(a, TreeSum) and isinstance(b, TreeSum)):
         raise TreeError(f"linear composition takes two TreeSums, got {a!r} and {b!r}")
     _check_compose_args(i, a.arity)
-    out = TreeSum(a.arity + b.arity - 1)
+    m = b.arity
+    out = TreeSum(a.arity + m - 1)
     for t, ct in a._terms.items():
+        graft, children = _graft_kernel(t, i, m)
+        maps = list(itertools.product(range(1, m + 1), repeat=len(children)))
         for s, cs in b._terms.items():
-            graft, children = _graft_kernel(t, i, s)
-            maps = itertools.product(range(1, s.n + 1), repeat=len(children))
-            out._merge(zip(map(graft, maps), itertools.repeat(ct * cs)))
+            out._merge(zip(graft(s, maps), itertools.repeat(ct * cs)))
     return out
 
 
@@ -226,16 +241,20 @@ def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition (graft map f_min_map)."""
-    graft, children = _graft_kernel(tree, i, inserted)
-    return graft([1 if k < i else inserted.n for k in children])
+    par, ins = _standard(tree), _standard(inserted)
+    graft, children = _graft_kernel(par, i, len(ins))
+    targets = [1 if k < i else len(ins) for k in children]
+    return LabelledRootedTree._from_par(graft(ins, [targets])[0])
 
 
 def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition (graft map f_max_map)."""
-    graft, children = _graft_kernel(tree, i, inserted)
-    return graft([inserted.n if k < i else 1 for k in children])
+    par, ins = _standard(tree), _standard(inserted)
+    graft, children = _graft_kernel(par, i, len(ins))
+    targets = [len(ins) if k < i else 1 for k in children]
+    return LabelledRootedTree._from_par(graft(ins, [targets])[0])
 
 
 def degree_bounds(
@@ -262,32 +281,34 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     graft map, namely the extremal maps.  Returns failure descriptions.
     """
     _arity(max_arity, 2, "max_arity must be at least 2")
-    basis = [t for n in range(1, max_arity + 1) for t in enumerate_trees(n)]
+    arities = range(1, max_arity + 1)
+    basis = {m: list(enumerate_trees(m)) for m in arities}
 
     def extremal(item) -> list[str]:
         t, i = item
         failures: list[str] = []
-        for s in basis:
-            lo, hi = degree_bounds(t, i, s)
-            graft, children = _graft_kernel(t, i, s)
-            maps = itertools.product(range(1, s.n + 1), repeat=len(children))
-            degs = [degree(graft(f)) for f in maps]
-            # one graft map at least, so lo == hi forces a single degree
-            ok = (
-                min(degs) == lo
-                and max(degs) == hi
-                and degs.count(lo) == 1
-                and degs.count(hi) == 1
-                and degree(min_term(t, i, s)) == lo
-                and degree(max_term(t, i, s)) == hi
-            )
-            if not ok:
-                failures.append(
-                    f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
+        for m in arities:  # one kernel per (T, i, m), in the basis order of S
+            graft, children = _graft_kernel(t._par, i, m)
+            maps = list(itertools.product(range(1, m + 1), repeat=len(children)))
+            for s in basis[m]:
+                lo, hi = degree_bounds(t, i, s)
+                degs = [_degree(enumerate(term, 1)) for term in graft(s._par, maps)]
+                # one graft map at least, so lo == hi forces a single degree
+                ok = (
+                    min(degs) == lo
+                    and max(degs) == hi
+                    and degs.count(lo) == 1
+                    and degs.count(hi) == 1
+                    and degree(min_term(t, i, s)) == lo
+                    and degree(max_term(t, i, s)) == hi
                 )
+                if not ok:
+                    failures.append(
+                        f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
+                    )
         return failures
 
-    items = [(t, i) for t in basis for i in range(1, t.n + 1)]
+    items = [(t, i) for m in arities for t in basis[m] for i in range(1, m + 1)]
     return [line for found in _sweep(items, extremal) for line in found]
 
 

@@ -62,11 +62,12 @@ class LabelledRootedTree:
         self._root = roots[0]
 
     @classmethod
-    def _from_par(cls, par: tuple[int, ...], root: int) -> "LabelledRootedTree":
+    def _from_par(cls, par: tuple[int, ...], root: int | None = None) -> "LabelledRootedTree":
         # internal fast path: the caller guarantees a valid parent tuple
+        # (and its root, when it passes one; else the one 0 in par marks it)
         tree = cls.__new__(cls)
         tree._key = tree._par = par
-        tree._root = root
+        tree._root = root or par.index(0) + 1
         return tree
 
     @property
@@ -298,9 +299,14 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
         yield from _rootings(seq, n)
 
 
+def _degree(pairs: Iterable[tuple[int, int | None]]) -> int:
+    # sum of |v - p| over (label, parent) pairs, the root's parent falsy
+    return sum([abs(v - p) for v, p in pairs if p])
+
+
 def degree(tree: LabelledRootedTree) -> int:
     """Sum of |a - b| over all edges {a, b}."""
-    return sum(abs(v - p) for v, p in _expect(tree).edges())
+    return _degree(_expect(tree)._pairs())
 
 
 def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRootedTree, ...]:

@@ -269,6 +269,42 @@ class TestComposePlLinear:
             compose_pl_linear(a, i, TreeSum(2))
 
 
+def mixed_sign_sum(n):
+    """Every tree of arity n, with coefficients 1, -2, 3, -1, 2, -3, ..."""
+    steps = [1, -2, 3, -1, 2, -3]
+    return TreeSum(n, {t: steps[k % 6] for k, t in enumerate(enumerate_trees(n))})
+
+
+class TestLinearCancellation:
+    """compose_pl_linear on mixed-sign sums, every arity pair up to 3.
+
+    T o_i S determines T, S and the graft map (the block i..i+m-1
+    induces S, and contracting it gives T), so inside one linear
+    composition no two (t, s) pairs share a term.  Opposite signs meet
+    when two compositions are added, and there they must cancel.
+    """
+
+    @pytest.mark.parametrize("n,m", list(itertools.product(range(1, 4), repeat=2)))
+    def test_matches_bilinear_expansion(self, n, m):
+        a, b = mixed_sign_sum(n), mixed_sign_sum(m)
+        t0, c0 = a.terms()[0]
+        rest = a - TreeSum.single(t0, c0)
+        for i in range(1, n + 1):
+            out = compose_pl_linear(a, i, b)
+            expected = TreeSum(n + m - 1)
+            for t, ct in a.terms():
+                for s, cs in b.terms():
+                    expected = expected + (ct * cs) * compose_pl(t, i, s)
+            assert out == expected
+            assert all(c for _, c in out.terms())
+            assert len(out) == sum(m ** len(t.children(i)) for t, _ in a.terms()) * len(b)
+            # the terms of -rest meet those of a with opposite signs: only t0's stay
+            left = out + compose_pl_linear(-rest, i, b)
+            assert left == compose_pl_linear(TreeSum.single(t0, c0), i, b)
+            assert all(c for _, c in left.terms())
+            assert (out - compose_pl_linear(a, i, b)).is_zero()
+
+
 class TestExtremalTerms:
     def test_golden_min_max(self):
         lo_tree = min_term(FORK, 2, CHAIN)
@@ -443,3 +479,36 @@ class TestKernelOracle:
                 assert (part == std) == same_labels
                 if same_labels:
                     assert hash(part) == hash(std)
+
+
+class TestKernelOracleExhaustive:
+    """Every (T, i, S) of arity <= 3, with every graft map, against the definition."""
+
+    def test_every_triple_and_graft_map(self):
+        trees = [t for n in range(1, 4) for t in enumerate_trees(n)]
+        cases = {"i is the root": 0, "i is not the root": 0}
+        for t, s in itertools.product(trees, repeat=2):
+            m = s.n
+            for i in range(1, t.n + 1):
+                if i == t.root:  # S's root takes i's place as the root
+                    root, case = s.root + i - 1, "i is the root"
+                else:  # T's root stays the root, shifted when above i
+                    root, case = (t.root if t.root < i else t.root + m - 1), "i is not the root"
+                cases[case] += 1
+                expected = {}
+                for f in graft_maps(t, i, m):
+                    term = reference_graft(t, i, s, f)
+                    got = graft_compose(t, i, s, f)
+                    assert got == term and got.root == term.root == root
+                    expected[term] = expected.get(term, 0) + 1
+                pl = compose_pl(t, i, s)
+                assert pl == TreeSum(t.n + m - 1, expected)
+                assert all(u.root == root for u in pl.trees())
+                for compose, f in (
+                    (min_term, f_min_map(t, i, m)),
+                    (max_term, f_max_map(t, i, m)),
+                    (compose_nap, f_nap_map(t, i, s)),
+                ):
+                    got = compose(t, i, s)
+                    assert got == reference_graft(t, i, s, f) and got.root == root
+        assert cases == {"i is the root": 144, "i is not the root": 240}

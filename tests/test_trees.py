@@ -20,7 +20,6 @@ from operad_forge.trees import (
 )
 from operad_forge.prelie import (
     TreeSum,
-    _graft_kernel,
     compose_pl,
     degree_bounds,
     graft_compose,
@@ -341,8 +340,6 @@ class TestInVertices:
 MU = parse_tree("1(2)")
 # every entry defined on standard trees only, with x in the place of one tree argument
 STANDARD_ONLY = {
-    "_graft_kernel outer": lambda x: _graft_kernel(x, 1, MU),
-    "_graft_kernel inner": lambda x: _graft_kernel(MU, 1, x),
     "degree_bounds outer": lambda x: degree_bounds(x, 1, MU),
     "degree_bounds inner": lambda x: degree_bounds(MU, 1, x),
     "f_nap_map outer": lambda x: f_nap_map(x, 1, MU),
