@@ -56,7 +56,7 @@ def _graft_kernel(par: tuple[int, ...], i: int, m: int):
     def graft(ins: tuple[int, ...], maps) -> list[tuple[int, ...]]:
         base = head + [q + d if q else hook for q in ins] + tail
         terms = []
-        for targets in maps:
+        for targets in maps:  # each map sets every slot, so one base serves them all
             for k, t in zip(slots, targets):
                 base[k] = t + d
             terms.append(tuple(base))
@@ -85,7 +85,8 @@ def graft_compose(
     for target in f.values():
         if type(target) is not int or not 1 <= target <= m:
             raise TreeError(f"graft target {target!r} out of range for arity {m}")
-    return LabelledRootedTree._from_par(graft(ins, [[f[k] for k in children]])[0])
+    (term,) = graft(ins, ([f[k] for k in children],))
+    return LabelledRootedTree._from_par(term)
 
 
 def graft_maps(
@@ -242,9 +243,10 @@ def min_term(
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition (graft map f_min_map)."""
     par, ins = _standard(tree), _standard(inserted)
-    graft, children = _graft_kernel(par, i, len(ins))
-    targets = [1 if k < i else len(ins) for k in children]
-    return LabelledRootedTree._from_par(graft(ins, [targets])[0])
+    m = len(ins)
+    graft, children = _graft_kernel(par, i, m)
+    (term,) = graft(ins, ([1 if k < i else m for k in children],))
+    return LabelledRootedTree._from_par(term)
 
 
 def max_term(
@@ -252,9 +254,10 @@ def max_term(
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition (graft map f_max_map)."""
     par, ins = _standard(tree), _standard(inserted)
-    graft, children = _graft_kernel(par, i, len(ins))
-    targets = [len(ins) if k < i else 1 for k in children]
-    return LabelledRootedTree._from_par(graft(ins, [targets])[0])
+    m = len(ins)
+    graft, children = _graft_kernel(par, i, m)
+    (term,) = graft(ins, ([m if k < i else 1 for k in children],))
+    return LabelledRootedTree._from_par(term)
 
 
 def degree_bounds(
