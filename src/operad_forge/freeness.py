@@ -21,6 +21,7 @@ from .trees import (
     TreeError,
     _arity,
     _expect,
+    _prufer_sequence,
     _rootings,
     _standard,
     restrict,
@@ -202,12 +203,11 @@ def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    # the trees of enumerate_trees(n), one Prüfer sequence per sweep item
-    def generators(seq) -> list[LabelledRootedTree]:
-        return [t for t in _rootings(seq, n) if is_indecomposable(t)]
+    # the trees of enumerate_trees(n), one Prüfer rank per sweep item
+    def generators(rank: int) -> tuple[LabelledRootedTree, ...]:
+        return tuple(t for t in _rootings(_prufer_sequence(rank, n), n) if is_indecomposable(t))
 
-    seqs = list(itertools.product(range(1, n + 1), repeat=n - 2))
-    found = [t for share in _sweep(seqs, generators) for t in share]
+    found = [t for share in _sweep(range(n ** (n - 2)), generators) for t in share]
     return tuple(sorted(found, key=str))
 
 
@@ -252,14 +252,18 @@ class FreenessReport(NamedTuple):
     expected: int
 
 
+def _images(n: int, compose: Callable) -> tuple[list[OperationTree], list]:
+    # every word of arity n and its image's parent tuple (lighter to unpickle than a tree)
+    words = operation_trees(n)
+    return words, _sweep(words, lambda word: _standard(evaluate(word, compose)))
+
+
 def verify_freeness(n: int) -> FreenessReport:
     """Check that evaluation is a bijection onto all trees of arity n."""
     _arity(n, 2, "freeness is checked at arity at least 2")
-    words = operation_trees(n)
-    images = {evaluate(w) for w in words}
-    expected = n ** (n - 1)
-    ok = len(words) == expected and len(images) == expected
-    return FreenessReport(ok, len(words), len(images), expected)
+    words, images = _images(n, compose_max)
+    distinct, expected = len(set(images)), n ** (n - 1)
+    return FreenessReport(len(words) == distinct == expected, len(words), distinct, expected)
 
 
 def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, OperationTree]]:
@@ -272,11 +276,8 @@ def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, Operation
     if type(kind) is not str or kind not in SET_COMPOSE:
         raise TreeError(f"unknown operad kind {kind!r}")
     _arity(n, 2, "collisions are searched at arity at least 2")
-    compose = SET_COMPOSE[kind]
-    seen: dict[LabelledRootedTree, OperationTree] = {}
-    for word in operation_trees(n):
-        image = evaluate(word, compose)
-        if image in seen:
-            return seen[image], word
-        seen[image] = word
+    seen: dict[tuple[int, ...], OperationTree] = {}
+    for word, image in zip(*_images(n, SET_COMPOSE[kind])):
+        if (first := seen.setdefault(image, word)) is not word:
+            return first, word
     return None

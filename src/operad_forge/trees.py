@@ -238,26 +238,25 @@ def _prufer_parents(seq: Sequence[int], n: int) -> list[int]:
     # linear-time decode of a Prüfer sequence over [n]: each removed leaf
     # hangs off its neighbour and n is never removed, so the parent list
     # (par[v - 1] the parent of v, 0 the root) comes out rooted at n
-    degree = [1] * (n + 1)
+    degree = [0] + [1] * n
     for v in seq:
         degree[v] += 1
     par = [0] * n
-    idx = 1
-    while degree[idx] != 1:
-        idx += 1
-    leaf = idx
+    leaf = idx = degree.index(1)
     for v in seq:
         par[leaf - 1] = v
         degree[v] -= 1
         if degree[v] == 1 and v < idx:
             leaf = v
         else:
-            idx += 1
-            while degree[idx] != 1:
-                idx += 1
-            leaf = idx
+            leaf = idx = degree.index(1, idx + 1)
     par[leaf - 1] = n
     return par
+
+
+def _prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
+    # the rank-th sequence of itertools.product(range(1, n + 1), repeat=n - 2)
+    return tuple(rank // n**k % n + 1 for k in range(n - 3, -1, -1))
 
 
 def _reroot(par: list[int], root: int) -> LabelledRootedTree:

@@ -2,16 +2,22 @@
 setting, and the same results on one worker as on two, with no child
 process left behind."""
 
+import itertools
 import os
 import threading
 
 import pytest
 
 from operad_forge import cli, prelie
-from operad_forge.trees import TreeError, enumerate_trees
+from operad_forge.trees import TreeError, _prufer_sequence, enumerate_trees
 from operad_forge.prelie import check_extremal_terms
 from operad_forge.set_operads import KINDS, SET_COMPOSE, check_axioms, compose_max
-from operad_forge.freeness import indecomposables, is_indecomposable
+from operad_forge.freeness import (
+    find_collision,
+    indecomposables,
+    is_indecomposable,
+    verify_freeness,
+)
 from operad_forge.sweep import _sweep, _workers
 
 
@@ -124,6 +130,36 @@ def test_indecomposables_on_every_worker_count(threads):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_prufer_ranks_follow_the_product_order(n):
+    ranks = [_prufer_sequence(r, n) for r in range(n ** (n - 2))]
+    assert ranks == list(itertools.product(range(1, n + 1), repeat=n - 2))
+
+
+def serial(monkeypatch, check, *args):
+    # the same check on one worker, for comparison with the threads fixture's count
+    with monkeypatch.context() as mp:
+        mp.setenv("OPERAD_FORGE_THREADS", "1")
+        return check(*args)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_freeness_report_on_every_worker_count(threads, monkeypatch, n):
+    report = verify_freeness(n)
+    assert report == serial(monkeypatch, verify_freeness, n)
+    assert report == (True, n ** (n - 1), n ** (n - 1), n ** (n - 1))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["min", "nap", "max"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_first_collision_on_every_worker_count(threads, monkeypatch, kind, n):
+    pair = find_collision(kind, n)
+    assert pair == serial(monkeypatch, find_collision, kind, n)
+    assert (pair is None) == (kind == "max" or n == 2)
+    assert_no_child_left()
+
+
 def test_an_error_in_a_workers_share_reaches_the_caller(monkeypatch):
     monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")
     two_cpus(monkeypatch)
@@ -168,4 +204,21 @@ def test_a_worker_that_ends_without_a_result_is_an_error(monkeypatch):
 
     with pytest.raises(ChildProcessError, match="ended without a result"):
         _sweep(range(4), work)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["min", "nap"])
+def test_an_error_in_a_workers_evaluations_reaches_the_caller(monkeypatch, kind):
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")
+    two_cpus(monkeypatch)
+    parent, original = os.getpid(), SET_COMPOSE[kind]
+
+    def compose(tree, i, inserted):
+        if os.getpid() != parent:
+            raise TreeError("evaluation failed in a worker")
+        return original(tree, i, inserted)
+
+    monkeypatch.setitem(SET_COMPOSE, kind, compose)
+    with pytest.raises(TreeError, match="evaluation failed in a worker"):
+        find_collision(kind, 4)
     assert_no_child_left()
