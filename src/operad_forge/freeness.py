@@ -203,11 +203,14 @@ def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    # the trees of enumerate_trees(n), one Prüfer rank per sweep item
-    def generators(rank: int) -> tuple[LabelledRootedTree, ...]:
-        return tuple(t for t in _rootings(_prufer_sequence(rank, n), n) if is_indecomposable(t))
+    # the trees of enumerate_trees(n), one Prüfer rank per sweep item; a worker
+    # sends back parent tuples, which cross the pipe lighter than trees
+    def generators(rank: int) -> tuple[tuple[int, ...], ...]:
+        trees = _rootings(_prufer_sequence(rank, n), n)
+        return tuple(t._par for t in trees if is_indecomposable(t))
 
-    found = [t for share in _sweep(range(n ** (n - 2)), generators) for t in share]
+    shares = _sweep(range(n ** (n - 2)), generators)
+    found = [LabelledRootedTree._from_par(par) for share in shares for par in share]
     return tuple(sorted(found, key=str))
 
 

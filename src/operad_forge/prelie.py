@@ -38,31 +38,33 @@ def _check_compose_args(i: int, n: int) -> None:
 def _graft_kernel(par: tuple[int, ...], i: int, m: int):
     """T's part of T o_i S, for every S of arity m.
 
-    ``par`` is T's parent tuple.  Returns ``(graft, children)``:
-    ``children`` lists the children of i in ascending order, and
-    ``graft(ins, maps)`` lists the parent tuples of the terms for the S
-    with parent tuple ``ins``, one per target tuple in ``maps`` (each
-    the graft map's images of ``children``, trusted to lie in 1..m).
-    S's part is spliced in once per call; each term patches only the
-    children's slots.
+    ``par`` is T's parent tuple.  Returns ``(children, ends, splice)``:
+    ``children`` lists the children of i in ascending order;
+    ``ends(targets)`` is T's part of the term for one graft map, given
+    by its images of ``children`` (trusted to lie in 1..m), as a
+    ``(head, tail)`` pair of tuples; and ``splice(ins)`` is S's part for
+    the S with parent tuple ``ins`` (of length m, else a ``TreeError``).
+    A term's parent tuple is ``head + splice(ins) + tail``, so T's part
+    is patched once per graft map and S's spliced once per S.
     """
     _check_compose_args(i, len(par))
     d, up = i - 1, m - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
-    head, hook, tail = out[:d], out[d], out[i:]  # hook: what S's root hangs on
-    children = [k for k, p in enumerate(par, 1) if p == i]
-    slots = [k - 1 if k < i else k + up - 1 for k in children]
+    hook = out[d]  # what S's root hangs on
+    children = [k for k, p in enumerate(par, 1) if p == i] if i in par else []
 
-    def graft(ins: tuple[int, ...], maps) -> list[tuple[int, ...]]:
-        base = head + [q + d if q else hook for q in ins] + tail
-        terms = []
-        for targets in maps:  # each map sets every slot, so one base serves them all
-            for k, t in zip(slots, targets):
-                base[k] = t + d
-            terms.append(tuple(base))
-        return terms
+    def ends(targets) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        for k, t in zip(children, targets):  # each map sets every child's slot
+            out[k - 1] = t + d
+        return tuple(out[:d]), tuple(out[i:])
 
-    return graft, children
+    def splice(ins: tuple[int, ...]) -> tuple[int, ...]:
+        if len(ins) != m:
+            tree = LabelledRootedTree._from_par(ins)
+            raise TreeError(f"inserted tree {tree} has arity {tree.n}, expected {m}")
+        return tuple([q + d if q else hook for q in ins])
+
+    return children, ends, splice
 
 
 def graft_compose(
@@ -79,14 +81,14 @@ def graft_compose(
     """
     par, ins = _standard(tree), _standard(inserted)
     m = len(ins)
-    graft, children = _graft_kernel(par, i, m)
+    children, ends, splice = _graft_kernel(par, i, m)
     if f.keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
         if type(target) is not int or not 1 <= target <= m:
             raise TreeError(f"graft target {target!r} out of range for arity {m}")
-    (term,) = graft(ins, ([f[k] for k in children],))
-    return LabelledRootedTree._from_par(term)
+    head, tail = ends([f[k] for k in children])
+    return LabelledRootedTree._from_par(head + splice(ins) + tail)
 
 
 def graft_maps(
@@ -128,7 +130,8 @@ class TreeSum:
     ):
         self._arity = _arity(arity, 1, "a sum has arity at least 1")
         self._terms: dict[tuple[int, ...], int] = {}
-        self._merge((_standard(t), c) for t, c in (terms or {}).items())
+        if terms:
+            self._merge((_standard(t), c) for t, c in terms.items())
 
     def _merge(self, pairs) -> "TreeSum":
         """Add (parent tuple, coefficient) pairs into this new sum; a zero total drops its term."""
@@ -147,7 +150,8 @@ class TreeSum:
 
     @classmethod
     def single(cls, tree: LabelledRootedTree, coeff: int = 1) -> "TreeSum":
-        return cls(len(_standard(tree)), {tree: coeff})
+        par = _standard(tree)
+        return cls(len(par))._merge([(par, coeff)])
 
     @property
     def arity(self) -> int:
@@ -216,6 +220,15 @@ class TreeSum:
         return f"TreeSum({self!s})"
 
 
+def _staged(compose):
+    """compose's staged form ``at(x, i, m) -> (y -> compose(x, i, y))``, for y of arity m.
+
+    A built-in composition keeps its own as ``compose.at``, which builds
+    x's part of the kernel once; any other composition is staged as is.
+    """
+    return getattr(compose, "at", None) or (lambda x, i, m: lambda y: compose(x, i, y))
+
+
 def compose_pl(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> TreeSum:
@@ -223,41 +236,71 @@ def compose_pl(
     return compose_pl_linear(TreeSum.single(tree), i, TreeSum.single(inserted))
 
 
+def _pl_at(a: TreeSum, i: int, m: int):
+    # compose_pl_linear staged: one kernel and one list of graft maps per term of a
+    if not isinstance(a, TreeSum):
+        raise TreeError(f"linear composition takes two TreeSums, got {a!r}")
+    _check_compose_args(i, a.arity)
+    arity, outer = a.arity + m - 1, []
+    for t, ct in a._terms.items():
+        children, ends, splice = _graft_kernel(t, i, m)
+        maps = itertools.product(range(1, m + 1), repeat=len(children))
+        outer.append((list(map(ends, maps)), splice, ct))
+
+    def at(b: TreeSum) -> TreeSum:
+        if not isinstance(b, TreeSum) or b.arity != m:
+            raise TreeError(f"linear composition at arity {m} takes a TreeSum of it, got {b!r}")
+        out = TreeSum(arity)
+        # T o_i S with a graft map determines T, S and the map, so no two terms meet
+        # and every coefficient is a product of nonzero ints: nothing to merge
+        terms = out._terms
+        for pairs, splice, ct in outer:
+            for s, cs in b._terms.items():
+                mid = splice(s)
+                grafts = [head + mid + tail for head, tail in pairs]
+                terms.update(zip(grafts, itertools.repeat(ct * cs)))
+        return out
+
+    return at
+
+
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums."""
     if not (isinstance(a, TreeSum) and isinstance(b, TreeSum)):
         raise TreeError(f"linear composition takes two TreeSums, got {a!r} and {b!r}")
-    _check_compose_args(i, a.arity)
-    m = b.arity
-    out = TreeSum(a.arity + m - 1)
-    for t, ct in a._terms.items():
-        graft, children = _graft_kernel(t, i, m)
-        maps = list(itertools.product(range(1, m + 1), repeat=len(children)))
-        for s, cs in b._terms.items():
-            out._merge(zip(graft(s, maps), itertools.repeat(ct * cs)))
-    return out
+    return _pl_at(a, i, b.arity)(b)
+
+
+def _one_map_at(tree: LabelledRootedTree, i: int, m: int, below: int, above: int):
+    # a one-map composition staged: i's children below i regraft onto below, the others onto above
+    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+    head, tail = ends([below if k < i else above for k in children] if children else ())
+
+    def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
+        return LabelledRootedTree._from_par(head + splice(_standard(inserted)) + tail)
+
+    return at
 
 
 def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition (graft map f_min_map)."""
-    par, ins = _standard(tree), _standard(inserted)
-    m = len(ins)
-    graft, children = _graft_kernel(par, i, m)
-    (term,) = graft(ins, ([1 if k < i else m for k in children],))
-    return LabelledRootedTree._from_par(term)
+    m = len(_standard(inserted))
+    return _one_map_at(tree, i, m, 1, m)(inserted)
 
 
 def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition (graft map f_max_map)."""
-    par, ins = _standard(tree), _standard(inserted)
-    m = len(ins)
-    graft, children = _graft_kernel(par, i, m)
-    (term,) = graft(ins, ([m if k < i else 1 for k in children],))
-    return LabelledRootedTree._from_par(term)
+    m = len(_standard(inserted))
+    return _one_map_at(tree, i, m, m, 1)(inserted)
+
+
+compose_pl_linear.at = _pl_at
+min_term.at = lambda tree, i, m: _one_map_at(tree, i, m, 1, m)
+max_term.at = lambda tree, i, m: _one_map_at(tree, i, m, m, 1)
 
 
 def degree_bounds(
@@ -290,20 +333,22 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     def extremal(item) -> list[str]:
         t, i = item
         failures: list[str] = []
-        for m in arities:  # one kernel per (T, i, m), in the basis order of S
-            graft, children = _graft_kernel(t._par, i, m)
-            maps = list(itertools.product(range(1, m + 1), repeat=len(children)))
+        for m in arities:  # one kernel and extremal stages per (T, i, m), in the basis order of S
+            children, ends, splice = _graft_kernel(t._par, i, m)
+            pairs = list(map(ends, itertools.product(range(1, m + 1), repeat=len(children))))
+            lo_at, hi_at = _staged(min_term)(t, i, m), _staged(max_term)(t, i, m)
             for s in basis[m]:
                 lo, hi = degree_bounds(t, i, s)
-                degs = [_degree(enumerate(term, 1)) for term in graft(s._par, maps)]
+                mid = splice(s._par)
+                degs = [_degree(enumerate(head + mid + tail, 1)) for head, tail in pairs]
                 # one graft map at least, so lo == hi forces a single degree
                 ok = (
                     min(degs) == lo
                     and max(degs) == hi
                     and degs.count(lo) == 1
                     and degs.count(hi) == 1
-                    and degree(min_term(t, i, s)) == lo
-                    and degree(max_term(t, i, s)) == hi
+                    and degree(lo_at(s)) == lo
+                    and degree(hi_at(s)) == hi
                 )
                 if not ok:
                     failures.append(

@@ -21,6 +21,8 @@ from .sweep import _sweep
 from .prelie import (
     TreeSum,
     _check_compose_args,
+    _graft_kernel,
+    _staged,
     compose_pl_linear,
     graft_compose,
     max_term,
@@ -47,6 +49,22 @@ def compose_nap(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     return graft_compose(tree, i, inserted, f_nap_map(tree, i, inserted))
+
+
+def _nap_at(tree: LabelledRootedTree, i: int, m: int):
+    # compose_nap staged: T's part once for each root S may have, all of i's children onto it
+    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+    by_root = [ends([r] * len(children)) for r in range(1, m + 1)]
+
+    def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
+        ins = _standard(inserted)
+        head, tail = by_root[ins.index(0)]
+        return LabelledRootedTree._from_par(head + splice(ins) + tail)
+
+    return at
+
+
+compose_nap.at = _nap_at
 
 
 SET_COMPOSE: dict[str, Callable] = {
@@ -88,6 +106,7 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         compose, lift = compose_pl_linear, TreeSum.single
     else:
         compose, lift = SET_COMPOSE[kind], lambda t: t
+    stage = _staged(compose)
 
     arities = range(1, max_arity + 1)
     basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}
@@ -109,16 +128,22 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         n, m, ell, a, b = item
         found: list[Violation] = []
         ab_at = at[a, b]
+        # no stage depends on c: (a o_i b) o_k c for every k a left side uses
+        # (k < i parallel, the others sequential), and a o_i x for x = b o_j c
+        lhs_at = [
+            [stage(ab_at[i - 1], k, ell) for k in range(1, i + m)] for i in range(1, n + 1)
+        ]
+        rhs_at = [stage(a, i, m + ell - 1) for i in range(1, n + 1)]
         for c in basis[ell]:
             bc_at, ac_at = at[b, c], at[a, c]
             for i in range(1, n + 1):
-                ab = ab_at[i - 1]
+                lhs_i, rhs_i = lhs_at[i - 1], rhs_at[i - 1]
                 for j in range(1, m + 1):
-                    lhs = compose(ab, j + i - 1, c)
-                    rhs = compose(a, i, bc_at[j - 1])
+                    lhs = lhs_i[j + i - 2](c)
+                    rhs = rhs_i(bc_at[j - 1])
                     check(found, "seq", a, b, c, i, j, lhs, rhs)
                 for j in range(1, i):
-                    lhs = compose(ab, j, c)
+                    lhs = lhs_i[j - 1](c)
                     rhs = compose(ac_at[j - 1], i + ell - 1, b)
                     check(found, "par", a, b, c, i, j, lhs, rhs)
         return found

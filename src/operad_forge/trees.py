@@ -205,7 +205,9 @@ def _expect(obj, cls=LabelledRootedTree):
 
 def _standard(tree: LabelledRootedTree) -> tuple[int, ...]:
     # the one guard of every entry defined on standard trees only: their parent tuple
-    if _expect(tree)._par is None:
+    if not isinstance(tree, LabelledRootedTree):
+        _expect(tree)  # raises; tested here first, since this guard runs on every composition
+    if tree._par is None:
         raise TreeError(f"{tree} is not standard: defined on standard trees only")
     return tree._par
 

@@ -1,9 +1,17 @@
 import itertools
+import os
 
 import pytest
 
 from operad_forge.trees import TreeError, degree, enumerate_trees, parse_tree
-from operad_forge.prelie import degree_bounds, f_max_map, f_min_map, graft_compose
+from operad_forge.prelie import (
+    TreeSum,
+    compose_pl_linear,
+    degree_bounds,
+    f_max_map,
+    f_min_map,
+    graft_compose,
+)
 from operad_forge.set_operads import (
     SET_COMPOSE,
     Violation,
@@ -159,4 +167,107 @@ def test_violations_are_reported_in_loop_order(monkeypatch, threads):
     assert str(found[0]) == (
         "axiom=seq a=1(2) b=1(2) c=1(2) i=1 j=1 lhs=1(2(3(4))) rhs=1(2(3,4))"
     )
+    assert found == untabulated_violations(clamp_compose, 3)
+
+
+# ---- staged compositions: at(x, i, m) -> (y -> x o_i y) --------------------------
+
+STAGED = {"max": compose_max, "min": compose_min, "nap": compose_nap}
+
+
+def mixed_sign_sum(n, shift=0):
+    """Every tree of arity n, with coefficients cycling through 1, -2, 3, -1, 2, -3."""
+    steps = [1, -2, 3, -1, 2, -3]
+    return TreeSum(n, {t: steps[(k + shift) % 6] for k, t in enumerate(enumerate_trees(n))})
+
+
+class TestStagedForms:
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    def test_each_stage_equals_the_plain_composition(self, kind):
+        # one stage per (T, i, m), applied to every S of arity m in turn
+        compose = STAGED[kind]
+        triples = 0
+        for n, m in itertools.product(range(1, 5), range(1, 4)):
+            for t in enumerate_trees(n):
+                for i in range(1, n + 1):
+                    at = compose.at(t, i, m)
+                    for s in enumerate_trees(m):
+                        assert at(s) == compose(t, i, s), (kind, str(t), i, str(s))
+                        triples += 1
+        assert triples == 3456
+
+    def test_linear_stage_equals_the_plain_composition_on_single_terms(self):
+        for n, m in itertools.product(range(1, 5), range(1, 4)):
+            for t in enumerate_trees(n):
+                a = TreeSum.single(t)
+                for i in range(1, n + 1):
+                    at = compose_pl_linear.at(a, i, m)
+                    for s in enumerate_trees(m):
+                        b = TreeSum.single(s)
+                        assert at(b) == compose_pl_linear(a, i, b), (str(t), i, str(s))
+
+    @pytest.mark.parametrize("n, m", list(itertools.product(range(1, 4), repeat=2)))
+    def test_linear_stage_equals_the_plain_composition_on_mixed_sign_sums(self, n, m):
+        first = TreeSum.single(next(enumerate_trees(n)))
+        outers = [mixed_sign_sum(n), -mixed_sign_sum(n, 1) + first]
+        inners = [mixed_sign_sum(m), mixed_sign_sum(m, 2), -mixed_sign_sum(m), TreeSum(m)]
+        for a, i in itertools.product(outers, range(1, n + 1)):
+            at = compose_pl_linear.at(a, i, m)
+            for b in inners:
+                assert at(b) == compose_pl_linear(a, i, b)
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    @pytest.mark.parametrize("i", [0, 4, -1, "2", 2.0, True])
+    def test_a_stage_rejects_a_position_out_of_range(self, kind, i):
+        with pytest.raises(TreeError, match="out of range for arity 3"):
+            STAGED[kind].at(FORK, i, 2)
+
+    @pytest.mark.parametrize("a", [TreeSum(3), TreeSum.single(FORK)], ids=["zero-sum", "one-term"])
+    def test_a_linear_stage_rejects_a_position_out_of_range(self, a):
+        with pytest.raises(TreeError, match="position 9 out of range for arity 3"):
+            compose_pl_linear.at(a, 9, 2)
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    def test_a_stage_rejects_an_operand_of_another_arity(self, kind):
+        at = STAGED[kind].at(FORK, 2, 2)
+        with pytest.raises(TreeError, match="has arity 3, expected 2"):
+            at(FORK)
+        with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
+            at("1(2)")
+
+    def test_a_linear_stage_rejects_an_operand_of_another_arity(self):
+        at = compose_pl_linear.at(TreeSum.single(FORK), 2, 2)
+        for b in (TreeSum.single(FORK), TreeSum(3), FORK):
+            with pytest.raises(TreeError):
+                at(b)
+
+
+stages = []  # the (T, i, m) of every stage this process built
+
+
+def clamp_at(tree, i, m):
+    """clamp_compose staged: its graft map is fixed once the arity of the operand is."""
+    f = {k: min(k, m) for k in tree.children(i)}
+    stages.append((str(tree), i, m))
+    return lambda inserted: graft_compose(tree, i, inserted, f)
+
+
+def staged_clamp(tree, i, inserted):
+    return clamp_at(tree, i, inserted.n)(inserted)
+
+
+staged_clamp.at = clamp_at
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_violations_through_the_staged_path(monkeypatch, threads):
+    """A composition that is not an operad, given with its staged form: the
+    sweep must apply its stages to the right operands in loop order."""
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setitem(SET_COMPOSE, "max", staged_clamp)
+    stages.clear()
+    found = check_axioms("max", 3)
+    assert stages  # the caller's share went through the staged form
+    assert found == untabulated_violations(staged_clamp, 3)
     assert found == untabulated_violations(clamp_compose, 3)
