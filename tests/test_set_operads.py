@@ -22,6 +22,8 @@ from operad_forge.set_operads import (
     f_nap_map,
 )
 
+from test_prelie import mixed_sign_sum
+
 FORK = parse_tree("2(1,3)")
 
 
@@ -175,12 +177,6 @@ def test_violations_are_reported_in_loop_order(monkeypatch, threads):
 STAGED = {"max": compose_max, "min": compose_min, "nap": compose_nap}
 
 
-def mixed_sign_sum(n, shift=0):
-    """Every tree of arity n, with coefficients cycling through 1, -2, 3, -1, 2, -3."""
-    steps = [1, -2, 3, -1, 2, -3]
-    return TreeSum(n, {t: steps[(k + shift) % 6] for k, t in enumerate(enumerate_trees(n))})
-
-
 class TestStagedForms:
     @pytest.mark.parametrize("kind", sorted(STAGED))
     def test_each_stage_equals_the_plain_composition(self, kind):
@@ -209,8 +205,9 @@ class TestStagedForms:
     @pytest.mark.parametrize("n, m", list(itertools.product(range(1, 4), repeat=2)))
     def test_linear_stage_equals_the_plain_composition_on_mixed_sign_sums(self, n, m):
         first = TreeSum.single(next(enumerate_trees(n)))
-        outers = [mixed_sign_sum(n), -mixed_sign_sum(n, 1) + first]
-        inners = [mixed_sign_sum(m), mixed_sign_sum(m, 2), -mixed_sign_sum(m), TreeSum(m)]
+        outers = [mixed_sign_sum(n), 2 * mixed_sign_sum(n) + first]
+        some = mixed_sign_sum(m) - TreeSum.single(next(enumerate_trees(m)))
+        inners = [mixed_sign_sum(m), -3 * mixed_sign_sum(m), some, TreeSum(m)]
         for a, i in itertools.product(outers, range(1, n + 1)):
             at = compose_pl_linear.at(a, i, m)
             for b in inners:
