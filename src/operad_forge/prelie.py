@@ -237,7 +237,7 @@ def compose_pl(
 
 
 def _pl_at(a: TreeSum, i: int, m: int):
-    # compose_pl_linear staged: one kernel and one list of graft maps per term of a
+    # compose_pl_linear staged: per term of a, one kernel and T's part for every graft map
     if not isinstance(a, TreeSum):
         raise TreeError(f"linear composition takes two TreeSums, got {a!r}")
     _check_compose_args(i, a.arity)
