@@ -55,19 +55,15 @@ def _witness_at(tree: LabelledRootedTree, a: int, b: int) -> Optional[Witness]:
     return Witness(a, b, block[0].root)
 
 
-def _scan(tree: LabelledRootedTree, reverse: bool = False) -> Iterator[Witness]:
+def _scan(tree: LabelledRootedTree) -> Iterator[Witness]:
     # the non-trivial witnesses, each before any witness that contains it:
     # a contained interval either ends sooner or, ending at b, starts later
-    # (reverse: starts later or, starting at a, ends sooner)
     n = len(_standard(tree))
-    if reverse:
-        intervals = ((a, b) for a in range(n - 1, 0, -1) for b in range(a + 1, n + 1))
-    else:
-        intervals = ((a, b) for b in range(2, n + 1) for a in range(b - 1, 0, -1))
-    for a, b in intervals:
-        w = _witness_at(tree, a, b)
-        if w is not None:
-            yield w
+    for b in range(2, n + 1):
+        for a in range(b - 1, 0, -1):
+            w = _witness_at(tree, a, b)
+            if w is not None:
+                yield w
 
 
 def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
@@ -176,9 +172,7 @@ def evaluate(
     return result
 
 
-def factorize(
-    tree: LabelledRootedTree, reverse_scan: bool = False
-) -> OperationTree:
+def factorize(tree: LabelledRootedTree) -> OperationTree:
     """Express a tree as an operation tree over indecomposable generators.
 
     Contracts one innermost witness block per step: a block holding no
@@ -190,7 +184,7 @@ def factorize(
     if len(_standard(tree)) < 2:
         raise TreeError("only trees of arity >= 2 factorize")
     slots = [None] * tree.n  # the word standing at each input of what is left
-    while (w := next(_scan(tree, reverse_scan), None)) is not None:
+    while (w := next(_scan(tree), None)) is not None:
         tree, generator = split(tree, w)
         slots[w.a - 1 : w.b] = [OperationTree(generator, tuple(slots[w.a - 1 : w.b]))]
     return OperationTree(tree, tuple(slots))

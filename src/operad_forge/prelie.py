@@ -48,6 +48,7 @@ def _graft_kernel(par: tuple[int, ...], i: int, m: int):
     is patched once per graft map and S's spliced once per S.
     """
     _check_compose_args(i, len(par))
+    _arity(m, 1, "the inserted tree has arity at least 1")
     d, up = i - 1, m - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
     hook = out[d]  # what S's root hangs on
@@ -149,9 +150,9 @@ class TreeSum:
         return self
 
     @classmethod
-    def single(cls, tree: LabelledRootedTree, coeff: int = 1) -> "TreeSum":
+    def single(cls, tree: LabelledRootedTree) -> "TreeSum":
         par = _standard(tree)
-        return cls(len(par))._merge([(par, coeff)])
+        return cls(len(par))._merge([(par, 1)])
 
     @property
     def arity(self) -> int:
@@ -241,6 +242,7 @@ def _pl_at(a: TreeSum, i: int, m: int):
     if not isinstance(a, TreeSum):
         raise TreeError(f"linear composition takes two TreeSums, got {a!r}")
     _check_compose_args(i, a.arity)
+    _arity(m, 1, "the inserted tree has arity at least 1")  # a zero sum builds no kernel to check it
     arity, outer = a.arity + m - 1, []
     for t, ct in a._terms.items():
         children, ends, splice = _graft_kernel(t, i, m)

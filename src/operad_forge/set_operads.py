@@ -58,8 +58,9 @@ def _nap_at(tree: LabelledRootedTree, i: int, m: int):
 
     def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
         ins = _standard(inserted)
+        mid = splice(ins)  # checks S's arity before its root picks T's part
         head, tail = by_root[ins.index(0)]
-        return LabelledRootedTree._from_par(head + splice(ins) + tail)
+        return LabelledRootedTree._from_par(head + mid + tail)
 
     return at
 
@@ -103,16 +104,15 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
     _arity(max_arity, 2, "max_arity must be at least 2")
 
     if kind == "pl":
-        compose, lift = compose_pl_linear, TreeSum.single
+        stage, lift = _staged(compose_pl_linear), TreeSum.single
     else:
-        compose, lift = SET_COMPOSE[kind], lambda t: t
-    stage = _staged(compose)
+        stage, lift = _staged(SET_COMPOSE[kind]), lambda t: t
 
     arities = range(1, max_arity + 1)
     basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}
     # every composition of two basis elements, computed once: at[x, y][i - 1]
     at = {
-        (x, y): [compose(x, i, y) for i in range(1, n + 1)]
+        (x, y): [stage(x, i, m)(y) for i in range(1, n + 1)]
         for n in arities for x in basis[n] for m in arities for y in basis[m]
     }
     unit = basis[1][0]
@@ -144,7 +144,7 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
                     check(found, "seq", a, b, c, i, j, lhs, rhs)
                 for j in range(1, i):
                     lhs = lhs_i[j - 1](c)
-                    rhs = compose(ac_at[j - 1], i + ell - 1, b)
+                    rhs = stage(ac_at[j - 1], i + ell - 1, m)(b)
                     check(found, "par", a, b, c, i, j, lhs, rhs)
         return found
 

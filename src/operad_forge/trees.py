@@ -8,7 +8,6 @@ ascending label order, so canonical strings are equal iff the trees are.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -294,10 +293,10 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
     construction.
     """
     if _arity(n, 1, "arity must be at least 1") == 1:
-        yield LabelledRootedTree({1: None})
+        yield LabelledRootedTree._from_par((0,))
         return
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield from _rootings(seq, n)
+    for rank in range(n ** (n - 2)):
+        yield from _rootings(_prufer_sequence(rank, n), n)
 
 
 def _degree(pairs: Iterable[tuple[int, int | None]]) -> int:

@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 
-from operad_forge.trees import LabelledRootedTree, _prufer_parents, _reroot
+from operad_forge.trees import LabelledRootedTree, _prufer_parents, _reroot, act
+from operad_forge.freeness import OperationTree
 
 
 @st.composite
@@ -16,3 +17,15 @@ def standard_trees(draw, min_n=1, max_n=7):
     )
     root = draw(st.integers(min_value=1, max_value=n))
     return _reroot(_prufer_parents(seq, n), root)
+
+
+def reversed_tree(tree):
+    """The label reversal r(v) = n + 1 - v of a standard tree."""
+    n = tree.n
+    return act({v: n + 1 - v for v in range(1, n + 1)}, tree)
+
+
+def mirrored_word(word):
+    """The word whose evaluation is r of word's: each generator reversed, slots right to left."""
+    slots = (None if s is None else mirrored_word(s) for s in reversed(word.slots))
+    return OperationTree(reversed_tree(word.node), tuple(slots))

@@ -26,6 +26,8 @@ from operad_forge.freeness import (
 )
 from operad_forge.series import cayley_series, generator_series, verify_functional_equation
 
+from conftest import mirrored_word, reversed_tree
+
 
 def report(num, text):
     print(f"PASS criterion {num}: {text}")
@@ -154,7 +156,7 @@ def test_10_factorization_roundtrip_and_uniqueness():
             assert evaluate(factorize(x)) == x
     for n in range(2, 6):
         for x in enumerate_trees(n):
-            assert factorize(x) == factorize(x, reverse_scan=True)
+            assert factorize(x) == mirrored_word(factorize(reversed_tree(x)))
     report(10, "round-trip to arity 6, scan-order independence to arity 5")
 
 

@@ -24,7 +24,7 @@ from operad_forge.freeness import (
     verify_freeness,
 )
 
-from conftest import standard_trees
+from conftest import mirrored_word, reversed_tree, standard_trees
 
 X = parse_tree("6(5(1,2,3(4,7)),8)")
 
@@ -291,7 +291,7 @@ class TestFactorize:
     def test_scan_order_independence(self):
         for n in range(2, 6):
             for x in enumerate_trees(n):
-                assert factorize(x) == factorize(x, reverse_scan=True)
+                assert factorize(x) == mirrored_word(factorize(reversed_tree(x)))
 
     def test_every_node_is_a_generator(self):
         # contracting a block that still holds a smaller witness would
@@ -303,7 +303,7 @@ class TestFactorize:
     @pytest.mark.slow
     def test_scan_order_independence_arity_six(self):
         for x in enumerate_trees(6):
-            assert factorize(x) == factorize(x, reverse_scan=True)
+            assert factorize(x) == mirrored_word(factorize(reversed_tree(x)))
 
     def test_word_of_deep_chain(self):
         # every word operation is iterative: 1200 nesting levels
@@ -318,7 +318,7 @@ class TestFactorize:
     def test_unique_factorization_of_large_trees(self, x):
         word = factorize(x)
         assert evaluate(word) == x
-        assert word == factorize(x, reverse_scan=True)
+        assert word == mirrored_word(factorize(reversed_tree(x)))
         assert all(map(is_indecomposable, _nodes(word)))
 
 

@@ -149,7 +149,7 @@ class TestTreeSum:
         [
             lambda: TreeSum(2, {parse_tree("1(2)"): 1.5}),
             lambda: 1.5 * TreeSum.single(parse_tree("1(2)")),
-            lambda: TreeSum.single(parse_tree("1(2)"), True),
+            lambda: TreeSum(2, {parse_tree("1(2)"): True}),
             lambda: TreeSum(-1),
             lambda: TreeSum(3, {"x": 1}),
         ],
@@ -230,9 +230,9 @@ def tree_sums(draw, n):
     total = TreeSum(n)
     terms = st.tuples(standard_trees(min_n=n, max_n=n), st.integers(-3, 3))
     for t, c in draw(st.lists(terms, max_size=4)):
-        total = total + TreeSum.single(t, c)
+        total = total + c * TreeSum.single(t)
         if draw(st.booleans()):  # cancel the term again, down to zero at times
-            total = total - TreeSum.single(t, c)
+            total = total - c * TreeSum.single(t)
     return total
 
 
@@ -288,7 +288,7 @@ class TestLinearCancellation:
     def test_matches_bilinear_expansion(self, n, m):
         a, b = mixed_sign_sum(n), mixed_sign_sum(m)
         t0, c0 = a.terms()[0]
-        rest = a - TreeSum.single(t0, c0)
+        rest = a - c0 * TreeSum.single(t0)
         for i in range(1, n + 1):
             out = compose_pl_linear(a, i, b)
             expected = TreeSum(n + m - 1)
@@ -300,7 +300,7 @@ class TestLinearCancellation:
             assert len(out) == sum(m ** len(t.children(i)) for t, _ in a.terms()) * len(b)
             # the terms of -rest meet those of a with opposite signs: only t0's stay
             left = out + compose_pl_linear(-rest, i, b)
-            assert left == compose_pl_linear(TreeSum.single(t0, c0), i, b)
+            assert left == compose_pl_linear(c0 * TreeSum.single(t0), i, b)
             assert all(c for _, c in left.terms())
             assert (out - compose_pl_linear(a, i, b)).is_zero()
 

@@ -225,10 +225,24 @@ class TestStagedForms:
             compose_pl_linear.at(a, 9, 2)
 
     @pytest.mark.parametrize("kind", sorted(STAGED))
+    @pytest.mark.parametrize("m", ["2", None, 2.0, True, 0, -1])
+    def test_a_stage_rejects_an_operand_arity_that_is_not_a_count(self, kind, m):
+        with pytest.raises(TreeError, match="must be an integer|arity at least 1"):
+            STAGED[kind].at(FORK, 2, m)
+
+    @pytest.mark.parametrize("a", [TreeSum(3), TreeSum.single(FORK)], ids=["zero-sum", "one-term"])
+    @pytest.mark.parametrize("m", ["2", None, 2.0, True, 0, -1])
+    def test_a_linear_stage_rejects_an_operand_arity_that_is_not_a_count(self, a, m):
+        with pytest.raises(TreeError, match="must be an integer|arity at least 1"):
+            compose_pl_linear.at(a, 2, m)
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
     def test_a_stage_rejects_an_operand_of_another_arity(self, kind):
         at = STAGED[kind].at(FORK, 2, 2)
-        with pytest.raises(TreeError, match="has arity 3, expected 2"):
-            at(FORK)
+        # 3(1,2) is rooted above 2, where no T-part of the nap stage lies
+        for s in (FORK, parse_tree("3(1,2)")):
+            with pytest.raises(TreeError, match="has arity 3, expected 2"):
+                at(s)
         with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
             at("1(2)")
 
@@ -237,6 +251,11 @@ class TestStagedForms:
         for b in (TreeSum.single(FORK), TreeSum(3), FORK):
             with pytest.raises(TreeError):
                 at(b)
+
+    @pytest.mark.parametrize("a", [FORK, "2(1,3)", None])
+    def test_a_linear_stage_rejects_an_outer_operand_that_is_not_a_sum(self, a):
+        with pytest.raises(TreeError, match="linear composition takes two TreeSums"):
+            compose_pl_linear.at(a, 1, 2)
 
 
 stages = []  # the (T, i, m) of every stage this process built
