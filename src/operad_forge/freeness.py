@@ -21,7 +21,6 @@ from .trees import (
     TreeError,
     _arity,
     _expect,
-    _prufer_sequence,
     _rootings,
     _standard,
     restrict,
@@ -200,7 +199,7 @@ def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     # the trees of enumerate_trees(n), one Prüfer rank per sweep item; a worker
     # sends back parent tuples, which cross the pipe lighter than trees
     def generators(rank: int) -> tuple[tuple[int, ...], ...]:
-        trees = _rootings(_prufer_sequence(rank, n), n)
+        trees = _rootings(rank, n)
         return tuple(t._par for t in trees if is_indecomposable(t))
 
     shares = _sweep(range(n ** (n - 2)), generators)

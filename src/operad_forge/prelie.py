@@ -9,13 +9,14 @@ combinations of same-arity trees.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .trees import (
     LabelledRootedTree,
     TreeError,
     _arity,
     _degree,
+    _expect,
     _standard,
     act,
     degree,
@@ -83,7 +84,7 @@ def graft_compose(
     par, ins = _standard(tree), _standard(inserted)
     m = len(ins)
     children, ends, splice = _graft_kernel(par, i, m)
-    if f.keys() != set(children):
+    if _expect(f, Mapping).keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
         if type(target) is not int or not 1 <= target <= m:
@@ -131,8 +132,8 @@ class TreeSum:
     ):
         self._arity = _arity(arity, 1, "a sum has arity at least 1")
         self._terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            self._merge((_standard(t), c) for t, c in terms.items())
+        if terms is not None:
+            self._merge((_standard(t), c) for t, c in _expect(terms, Mapping).items())
 
     def _merge(self, pairs) -> "TreeSum":
         """Add (parent tuple, coefficient) pairs into this new sum; a zero total drops its term."""
@@ -221,15 +222,6 @@ class TreeSum:
         return f"TreeSum({self!s})"
 
 
-def _staged(compose):
-    """compose's staged form ``at(x, i, m) -> (y -> compose(x, i, y))``, for y of arity m.
-
-    A built-in composition keeps its own as ``compose.at``, which builds
-    x's part of the kernel once; any other composition is staged as is.
-    """
-    return getattr(compose, "at", None) or (lambda x, i, m: lambda y: compose(x, i, y))
-
-
 def compose_pl(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> TreeSum:
@@ -267,10 +259,8 @@ def _pl_at(a: TreeSum, i: int, m: int):
 
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
-    """Bilinear extension of :func:`compose_pl` to formal sums."""
-    if not (isinstance(a, TreeSum) and isinstance(b, TreeSum)):
-        raise TreeError(f"linear composition takes two TreeSums, got {a!r} and {b!r}")
-    return _pl_at(a, i, b.arity)(b)
+    """Bilinear extension of :func:`compose_pl` to formal sums: its stage applied once."""
+    return _pl_at(a, i, _expect(b, TreeSum).arity)(b)
 
 
 def _one_map_at(tree: LabelledRootedTree, i: int, m: int, below: int, above: int):
@@ -288,16 +278,14 @@ def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition (graft map f_min_map)."""
-    m = len(_standard(inserted))
-    return _one_map_at(tree, i, m, 1, m)(inserted)
+    return min_term.at(tree, i, len(_standard(inserted)))(inserted)
 
 
 def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition (graft map f_max_map)."""
-    m = len(_standard(inserted))
-    return _one_map_at(tree, i, m, m, 1)(inserted)
+    return max_term.at(tree, i, len(_standard(inserted)))(inserted)
 
 
 compose_pl_linear.at = _pl_at
@@ -338,7 +326,7 @@ def check_extremal_terms(max_arity: int) -> list[str]:
         for m in arities:  # one kernel and extremal stages per (T, i, m), in the basis order of S
             children, ends, splice = _graft_kernel(t._par, i, m)
             pairs = list(map(ends, itertools.product(range(1, m + 1), repeat=len(children))))
-            lo_at, hi_at = _staged(min_term)(t, i, m), _staged(max_term)(t, i, m)
+            lo_at, hi_at = min_term.at(t, i, m), max_term.at(t, i, m)
             for s in basis[m]:
                 lo, hi = degree_bounds(t, i, s)
                 mid = splice(s._par)

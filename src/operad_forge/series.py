@@ -154,7 +154,7 @@ def verify_functional_equation(
     The order may not exceed either series' own: padding with zeros
     would test coefficients neither series knows.
     """
-    top = min(alpha.order, beta.order)
+    top = min(_series(alpha).order, _series(beta).order)
     if _arity(order, 0, "order must be at least 0", SeriesError) > top:
         raise SeriesError(f"order {order} is above the series order {top}")
     lhs = beta.truncate(order).compose(alpha.truncate(order)) + PowerSeries.identity(order)

@@ -22,7 +22,6 @@ from .prelie import (
     TreeSum,
     _check_compose_args,
     _graft_kernel,
-    _staged,
     compose_pl_linear,
     graft_compose,
     max_term,
@@ -103,10 +102,8 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         raise TreeError(f"unknown operad kind {kind!r}")
     _arity(max_arity, 2, "max_arity must be at least 2")
 
-    if kind == "pl":
-        stage, lift = _staged(compose_pl_linear), TreeSum.single
-    else:
-        stage, lift = _staged(SET_COMPOSE[kind]), lambda t: t
+    stage = compose_pl_linear.at if kind == "pl" else SET_COMPOSE[kind].at
+    lift = TreeSum.single if kind == "pl" else lambda t: t
 
     arities = range(1, max_arity + 1)
     basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}

@@ -9,7 +9,7 @@ ascending label order, so canonical strings are equal iff the trees are.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 class TreeError(ValueError):
@@ -33,6 +33,8 @@ class LabelledRootedTree:
     def __init__(self, parent: Mapping[int, int | None]):
         if not parent:
             raise TreeError("a tree needs at least one vertex")
+        if type(parent) is not dict:  # restrict builds dicts on the hot path; an ABC check is slow
+            _expect(parent, Mapping)
         roots = [v for v, p in parent.items() if p is None]
         if len(roots) != 1:
             raise TreeError(f"expected exactly one root, found {len(roots)}")
@@ -255,11 +257,6 @@ def _prufer_parents(seq: Sequence[int], n: int) -> list[int]:
     return par
 
 
-def _prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
-    # the rank-th sequence of itertools.product(range(1, n + 1), repeat=n - 2)
-    return tuple(rank // n**k % n + 1 for k in range(n - 3, -1, -1))
-
-
 def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     # reverse the one path from root up to the current root
     out = par[:]
@@ -269,8 +266,13 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(tuple(out), root)
 
 
-def _rootings(seq: Sequence[int], n: int) -> list[LabelledRootedTree]:
-    # the free tree with Prüfer sequence seq, rooted at 1, 2, ..., n in turn
+def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:
+    # the free tree whose Prüfer sequence is rank's base-n digits plus 1, rooted at 1..n in turn
+    seq = []
+    for _ in range(n - 2):
+        rank, digit = divmod(rank, n)
+        seq.append(digit + 1)
+    seq.reverse()
     par = _prufer_parents(seq, n)
     return [_reroot(par, root) for root in range(1, n + 1)]
 
@@ -296,7 +298,7 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
         yield LabelledRootedTree._from_par((0,))
         return
     for rank in range(n ** (n - 2)):
-        yield from _rootings(_prufer_sequence(rank, n), n)
+        yield from _rootings(rank, n)
 
 
 def _degree(pairs: Iterable[tuple[int, int | None]]) -> int:
@@ -362,7 +364,7 @@ def order_relabel(
 def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTree:
     """Permute the labels of a standard tree by sigma."""
     labels = list(range(1, len(_standard(tree)) + 1))
-    if sorted(sigma) != labels or sorted(sigma.values()) != labels:
+    if sorted(_expect(sigma, Mapping)) != labels or sorted(sigma.values()) != labels:
         raise TreeError("sigma is not a permutation of the label set")
     return LabelledRootedTree(
         {sigma[v]: (sigma[p] if p is not None else None) for v, p in tree.parent_map().items()}
@@ -391,7 +393,7 @@ def epsilon(tree: LabelledRootedTree, i: int, m: int, s: int) -> int:
     """
     if type(m) is not int or type(s) is not int or not 1 <= s <= m:
         raise TreeError(f"root label {s!r} out of range for arity {m!r}")
-    k = tree.parent_of(i)
+    k = _expect(tree).parent_of(i)
     if k is None:
         return 0
     return s - 1 if k < i else m - s

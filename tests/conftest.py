@@ -19,6 +19,12 @@ def standard_trees(draw, min_n=1, max_n=7):
     return _reroot(_prufer_parents(seq, n), root)
 
 
+def with_plain_stage(compose):
+    """compose with the plain call as its stage, as every sweep takes a composition."""
+    compose.at = lambda x, i, m: lambda y: compose(x, i, y)
+    return compose
+
+
 def reversed_tree(tree):
     """The label reversal r(v) = n + 1 - v of a standard tree."""
     n = tree.n

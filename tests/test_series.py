@@ -55,8 +55,10 @@ class TestRingOperations:
         PowerSeries.__sub__,
         PowerSeries.__mul__,
         PowerSeries.compose,
+        lambda s, other: verify_functional_equation(s, other, 1),
+        lambda s, other: verify_functional_equation(other, s, 1),
     ],
-    ids=["add", "sub", "mul", "compose"],
+    ids=["add", "sub", "mul", "compose", "equation beta", "equation alpha"],
 )
 def test_ring_operations_reject_a_non_series(op, other):
     with pytest.raises(SeriesError, match="is not a PowerSeries"):

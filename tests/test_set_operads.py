@@ -22,6 +22,7 @@ from operad_forge.set_operads import (
     f_nap_map,
 )
 
+from conftest import with_plain_stage
 from test_prelie import mixed_sign_sum
 
 FORK = parse_tree("2(1,3)")
@@ -123,6 +124,7 @@ class TestAxioms:
             check_axioms(kind, 3)
 
 
+@with_plain_stage
 def clamp_compose(tree, i, inserted):
     """Not an operad: child k of i regrafts onto vertex min(k, m)."""
     m = inserted.n
@@ -276,9 +278,10 @@ staged_clamp.at = clamp_at
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_violations_through_the_staged_path(monkeypatch, threads):
-    """A composition that is not an operad, given with its staged form: the
-    sweep must apply its stages to the right operands in loop order."""
+def test_violations_through_a_stage_of_its_own(monkeypatch, threads):
+    """A composition that is not an operad, given with a stage that fixes its
+    graft map once per (T, i, m): the sweep must apply its stages to the
+    right operands in loop order."""
     monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setitem(SET_COMPOSE, "max", staged_clamp)

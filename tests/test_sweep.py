@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from operad_forge import cli, prelie
-from operad_forge.trees import TreeError, _prufer_sequence, enumerate_trees
+from operad_forge.trees import TreeError, _prufer_parents, _reroot, _rootings, enumerate_trees
 from operad_forge.prelie import check_extremal_terms
 from operad_forge.set_operads import KINDS, SET_COMPOSE, check_axioms, compose_max
 from operad_forge.freeness import (
@@ -19,6 +19,8 @@ from operad_forge.freeness import (
     verify_freeness,
 )
 from operad_forge.sweep import _sweep, _workers
+
+from conftest import with_plain_stage
 
 
 def two_cpus(monkeypatch):
@@ -132,8 +134,11 @@ def test_indecomposables_on_every_worker_count(threads):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_prufer_ranks_follow_the_product_order(n):
-    ranks = [_prufer_sequence(r, n) for r in range(n ** (n - 2))]
-    assert ranks == list(itertools.product(range(1, n + 1), repeat=n - 2))
+    sequences = itertools.product(range(1, n + 1), repeat=n - 2)
+    for rank, seq in enumerate(sequences):
+        par = _prufer_parents(seq, n)
+        assert _rootings(rank, n) == [_reroot(par, root) for root in range(1, n + 1)]
+    assert rank == n ** (n - 2) - 1
 
 
 def serial(monkeypatch, check, *args):
@@ -165,6 +170,7 @@ def test_an_error_in_a_workers_share_reaches_the_caller(monkeypatch):
     two_cpus(monkeypatch)
     parent = os.getpid()
 
+    @with_plain_stage
     def compose(tree, i, inserted):
         if os.getpid() != parent:
             raise TreeError("composition failed in a worker")

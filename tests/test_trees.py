@@ -98,8 +98,9 @@ class TestParseRender:
         assert str(t) == chain
 
     def test_rejects_empty_and_disconnected_parent_maps(self):
-        with pytest.raises(TreeError, match="at least one vertex"):
-            LabelledRootedTree({})
+        for empty in ({}, None):  # no vertex is checked before the Mapping type
+            with pytest.raises(TreeError, match="at least one vertex"):
+                LabelledRootedTree(empty)
         with pytest.raises(TreeError, match="do not reach the root"):
             LabelledRootedTree({1: 2, 2: 1, 3: None})
 
@@ -390,6 +391,7 @@ TREE_ENTRIES = {
     "gap": lambda x: gap(x, 1),
     "restrict": lambda x: restrict(x, [1]),
     "order_relabel": lambda x: order_relabel(x, [1, 2]),
+    "epsilon": lambda x: epsilon(x, 1, 2, 1),
     "evaluate": evaluate,
 }
 
@@ -399,6 +401,28 @@ TREE_ENTRIES = {
 def test_tree_entries_reject_anything_else(entry, x):
     with pytest.raises(TreeError, match="is not (a LabelledRootedTree|an OperationTree)"):
         TREE_ENTRIES[entry](x)
+
+
+# every entry that takes a mapping, with x in its place
+MAPPING_ENTRIES = {
+    "LabelledRootedTree": LabelledRootedTree,
+    "TreeSum": lambda x: TreeSum(2, x),
+    "graft_compose": lambda x: graft_compose(MU, 1, MU, x),
+    "act": lambda x: act(x, MU),
+}
+
+
+@pytest.mark.parametrize("x", [[1], [1, 2], "12", 5], ids=["list", "pair", "string", "int"])
+@pytest.mark.parametrize("entry", list(MAPPING_ENTRIES))
+def test_mapping_entries_reject_anything_else(entry, x):
+    with pytest.raises(TreeError, match="is not a Mapping"):
+        MAPPING_ENTRIES[entry](x)
+
+
+@pytest.mark.parametrize("entry", ["graft_compose", "act"])
+def test_mapping_entries_reject_none(entry):
+    with pytest.raises(TreeError, match="None is not a Mapping"):
+        MAPPING_ENTRIES[entry](None)
 
 
 def test_evaluate_rejects_a_tree():
