@@ -97,7 +97,7 @@ def graft_maps(
     tree: LabelledRootedTree, i: int, m: int
 ) -> Iterator[dict[int, int]]:
     """All maps from the children of i into [m], lexicographic by child label."""
-    children = tree.children(i)
+    children = _expect(tree).children(i)
     _arity(m, 1, "the inserted tree has arity at least 1")
     for targets in itertools.product(range(1, m + 1), repeat=len(children)):
         yield dict(zip(children, targets))
@@ -106,13 +106,13 @@ def graft_maps(
 def f_min_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex 1, children above onto vertex m."""
     _arity(m, 1, "the inserted tree has arity at least 1")
-    return {k: (1 if k < i else m) for k in tree.children(i)}
+    return {k: (1 if k < i else m) for k in _expect(tree).children(i)}
 
 
 def f_max_map(tree: LabelledRootedTree, i: int, m: int) -> dict[int, int]:
     """Children below i regraft onto vertex m, children above onto vertex 1."""
     _arity(m, 1, "the inserted tree has arity at least 1")
-    return {k: (m if k < i else 1) for k in tree.children(i)}
+    return {k: (m if k < i else 1) for k in _expect(tree).children(i)}
 
 
 class TreeSum:
@@ -174,9 +174,7 @@ class TreeSum:
         return len(self._terms)
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
-        if not isinstance(other, TreeSum):
-            raise TreeError(f"cannot add {other!r} to a sum of trees")
-        if other._arity != self._arity:
+        if _expect(other, TreeSum)._arity != self._arity:
             raise TreeError("cannot add sums of different arities")
         return TreeSum(self._arity)._merge(self._terms.items())._merge(other._terms.items())
 

@@ -8,20 +8,13 @@ beta = id - alpha^(-1) with alpha^(-1) the compositional inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable
 
-from .trees import _arity
+from .trees import _arity, _expect
 
 
 class SeriesError(ValueError):
     """A series operation was called outside its domain."""
-
-
-def _series(other) -> "PowerSeries":
-    # the one type check on a series operand
-    if not isinstance(other, PowerSeries):
-        raise SeriesError(f"{other!r} is not a PowerSeries")
-    return other
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,8 @@ class PowerSeries:
             raise SeriesError(f"coefficients must be integers, got {self.coeffs!r}")
 
     @classmethod
-    def from_list(cls, coeffs: Sequence[int], order: int | None = None) -> "PowerSeries":
-        cs = list(coeffs)
+    def from_list(cls, coeffs: Iterable[int], order: int | None = None) -> "PowerSeries":
+        cs = list(_expect(coeffs, Iterable, SeriesError))
         if order is not None:
             _arity(order, 0, "order must be at least 0", SeriesError)
             cs = (cs + [0] * (order + 1))[: order + 1]
@@ -69,16 +62,17 @@ class PowerSeries:
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         # zip stops at the shorter series: the sum is known to the common order
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, _series(other).coeffs)))
+        theirs = _expect(other, PowerSeries, SeriesError).coeffs
+        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, theirs)))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + -_series(other)
+        return self + -_expect(other, PowerSeries, SeriesError)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, _series(other).order)
+        order = min(self.order, _expect(other, PowerSeries, SeriesError).order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
@@ -89,7 +83,7 @@ class PowerSeries:
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)); inner must have zero constant term."""
-        if _series(inner).coefficient(0) != 0:
+        if _expect(inner, PowerSeries, SeriesError).coefficient(0) != 0:
             raise SeriesError("composition needs a zero constant term")
         order = min(self.order, inner.order)
         # Horner from the top coefficient down
@@ -154,7 +148,7 @@ def verify_functional_equation(
     The order may not exceed either series' own: padding with zeros
     would test coefficients neither series knows.
     """
-    top = min(_series(alpha).order, _series(beta).order)
+    top = min(_expect(s, PowerSeries, SeriesError).order for s in (alpha, beta))
     if _arity(order, 0, "order must be at least 0", SeriesError) > top:
         raise SeriesError(f"order {order} is above the series order {top}")
     lhs = beta.truncate(order).compose(alpha.truncate(order)) + PowerSeries.identity(order)

@@ -2,11 +2,11 @@
 
 ``OPERAD_FORGE_THREADS`` (default 1) is the number of worker processes,
 capped by the usable CPUs and by the item count, and 1 in a process
-that runs other threads.  At 1 the sweep is a plain loop.  Above it the
-calling process works one share itself and forks one child per other
-share, so every worker inherits the tables and the compositions the
-caller set up.  Results come back in item order whatever the worker
-count.
+that runs other threads.  The calling process works one share itself
+and forks one child per other share, so at 1 worker it works every
+item and forks nothing, and every child inherits the tables and the
+compositions the caller set up.  Results come back in item order
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ def _sweep(items: Sequence, work: Callable) -> list:
     Worker k works ``items[k::workers]``; a worker's exception reaches
     the caller, and every child is reaped before this returns or raises.
     """
-    workers = _workers(len(items))
-    if workers <= 1:
-        return [work(x) for x in items]
-    # imported here, so that the serial path and the CLI's startup pay for neither
+    workers = _workers(len(items)) or 1  # an empty sweep still slices with step 1
+    # imported here, so that the CLI's startup pays for neither
     import pickle
     import signal
 

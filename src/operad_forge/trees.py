@@ -196,11 +196,11 @@ def parse_tree(text: str) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(par, next(iter(parent)))
 
 
-def _expect(obj, cls=LabelledRootedTree):
-    # the one type check on an argument: obj itself when it is a cls
+def _expect(obj, cls=LabelledRootedTree, error=TreeError):
+    # the one type check on an argument in every layer: obj itself when it is a cls
     if not isinstance(obj, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise TreeError(f"{obj!r} is not {article} {cls.__name__}")
+        raise error(f"{obj!r} is not {article} {cls.__name__}")
     return obj
 
 
@@ -318,7 +318,7 @@ def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRoo
     vertex closest to the ambient root; labels are preserved.
     """
     _expect(tree)
-    kept = set(keep)
+    kept = set(_expect(keep, Iterable))
     if not kept:
         raise TreeError("cannot restrict to an empty label set")
     # the induced parent map: a kept vertex whose parent is not kept is a root
@@ -341,20 +341,22 @@ def full_subtree(tree: LabelledRootedTree, c: int) -> LabelledRootedTree:
     stack = [c]
     while stack:
         v = stack.pop()
-        for w in tree.children(v):
+        for w in _expect(tree).children(v):
             parent[w] = v
             stack.append(w)
     return LabelledRootedTree(parent)
 
 
 def order_relabel(
-    tree: LabelledRootedTree, target: Sequence[int]
+    tree: LabelledRootedTree, target: Iterable[int]
 ) -> LabelledRootedTree:
     """Relabel by the unique order-preserving bijection onto ``target``."""
-    source = _expect(tree).labels
+    source, target = _expect(tree).labels, list(_expect(target, Iterable))
+    if any(type(v) is not int for v in target):
+        raise TreeError(f"target labels must be integers, got {target}")
     tgt = sorted(set(target))
     if len(tgt) != len(target) or len(tgt) != len(source):
-        raise TreeError(f"target needs {len(source)} distinct labels, got {list(target)}")
+        raise TreeError(f"target needs {len(source)} distinct labels, got {target}")
     phi = dict(zip(source, tgt))
     return LabelledRootedTree(
         {phi[v]: (phi[p] if p is not None else None) for v, p in tree.parent_map().items()}
@@ -376,8 +378,6 @@ def gap(tree: LabelledRootedTree, i: int) -> int:
     _expect(tree).parent_of(i)  # raises TreeError for an unknown label
     count = 0
     for v, p in tree.edges():
-        if v == i or p == i:
-            continue
         lo, hi = (v, p) if v < p else (p, v)
         if lo < i < hi:
             count += 1

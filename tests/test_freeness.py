@@ -313,6 +313,19 @@ class TestFactorize:
         assert word == again and hash(word) == hash(again)
         assert repr(word).startswith("OperationTree(")
 
+    @pytest.mark.xfail(
+        raises=RecursionError, strict=True, reason="evaluate recurses once per word node"
+    )
+    def test_evaluate_of_deep_chain(self):
+        chain = "(".join(str(v) for v in range(1200, 0, -1)) + ")" * 1199
+        word = factorize(parse_tree(chain))
+        try:
+            tree = evaluate(word)
+        except RecursionError as exc:
+            # raised again without its frames, whose locals pytest's report would compare pairwise
+            raise RecursionError(str(exc)) from None
+        assert str(tree) == chain
+
     @settings(deadline=None)
     @given(standard_trees(min_n=2, max_n=40))
     def test_unique_factorization_of_large_trees(self, x):
@@ -342,7 +355,8 @@ class TestFreeness:
         assert verify_freeness(5).ok
 
     @pytest.mark.slow
-    def test_bijection_arity_seven(self):
+    def test_bijection_arity_seven(self, monkeypatch):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
         assert verify_freeness(7) == (True, 117649, 117649, 117649)
 
     @pytest.mark.parametrize("n", [1, 0, -3])

@@ -81,6 +81,9 @@ class TestConstruction:
     def test_rejects_coefficients_that_are_not_a_sequence(self):
         with pytest.raises(SeriesError, match="must be a sequence"):
             PowerSeries(5)
+        for coeffs in (None, 5):
+            with pytest.raises(SeriesError, match="is not an Iterable"):
+                PowerSeries.from_list(coeffs)
 
     def test_rejects_an_empty_series(self):
         with pytest.raises(SeriesError, match="at least the constant coefficient"):

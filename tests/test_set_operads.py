@@ -99,7 +99,8 @@ class TestAxioms:
         assert check_axioms(kind, 3) == []
 
     @pytest.mark.slow
-    def test_max_axioms_arity_four(self):
+    def test_max_axioms_arity_four(self, monkeypatch):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
         assert check_axioms("max", 4) == []
 
     @pytest.mark.slow

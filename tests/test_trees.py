@@ -22,7 +22,10 @@ from operad_forge.prelie import (
     TreeSum,
     compose_pl,
     degree_bounds,
+    f_max_map,
+    f_min_map,
     graft_compose,
+    graft_maps,
     max_term,
     min_term,
 )
@@ -241,6 +244,9 @@ class TestRestrictAndSubtrees:
             restrict(t, set())
         with pytest.raises(TreeError):
             restrict(t, {1, 9})
+        for keep in (None, 5):
+            with pytest.raises(TreeError, match="is not an Iterable"):
+                restrict(t, keep)
 
     def test_full_subtree_example(self):
         x = parse_tree(X_TEXT)
@@ -269,6 +275,7 @@ class TestRelabelAndAction:
         t = parse_tree("2(1,3)")
         assert order_relabel(t, t.labels) == t
         assert str(order_relabel(t, [4, 6, 9])) == "6(4,9)"
+        assert str(order_relabel(t, iter([4, 6, 9]))) == "6(4,9)"  # read once, no len
 
     def test_size_mismatch(self):
         with pytest.raises(TreeError):
@@ -278,6 +285,16 @@ class TestRelabelAndAction:
         # two targets that collapse to one label would merge vertices
         with pytest.raises(TreeError):
             order_relabel(parse_tree("3(1,2)"), [4, 4, 9])
+
+    @pytest.mark.parametrize(
+        "target,message",
+        [(None, "is not an Iterable"), (5, "is not an Iterable"),
+         ([1, 2, "a"], "must be integers"), ([1, 2.0, 3], "must be integers")],
+        ids=["None", "int", "str label", "float label"],
+    )
+    def test_rejects_targets_that_are_not_integer_labels(self, target, message):
+        with pytest.raises(TreeError, match=message):
+            order_relabel(parse_tree("3(1,2)"), target)
 
     @given(standard_trees(min_n=2, max_n=6))
     @settings(max_examples=40)
@@ -392,6 +409,10 @@ TREE_ENTRIES = {
     "restrict": lambda x: restrict(x, [1]),
     "order_relabel": lambda x: order_relabel(x, [1, 2]),
     "epsilon": lambda x: epsilon(x, 1, 2, 1),
+    "full_subtree": lambda x: full_subtree(x, 1),
+    "graft_maps": lambda x: list(graft_maps(x, 1, 2)),
+    "f_min_map": lambda x: f_min_map(x, 1, 2),
+    "f_max_map": lambda x: f_max_map(x, 1, 2),
     "evaluate": evaluate,
 }
 
