@@ -97,7 +97,7 @@ def split(
     inner = [p - d if a <= p <= b else 0 for p in par[d:b]]
     return (
         LabelledRootedTree._from_par(tuple(outer)),
-        LabelledRootedTree._from_par(tuple(inner), c - d),
+        LabelledRootedTree._from_par(tuple(inner)),
     )
 
 

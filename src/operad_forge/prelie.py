@@ -229,9 +229,7 @@ def compose_pl(
 
 def _pl_at(a: TreeSum, i: int, m: int):
     # compose_pl_linear staged: per term of a, one kernel and T's part for every graft map
-    if not isinstance(a, TreeSum):
-        raise TreeError(f"linear composition takes two TreeSums, got {a!r}")
-    _check_compose_args(i, a.arity)
+    _check_compose_args(i, _expect(a, TreeSum).arity)
     _arity(m, 1, "the inserted tree has arity at least 1")  # a zero sum builds no kernel to check it
     arity, outer = a.arity + m - 1, []
     for t, ct in a._terms.items():
@@ -240,7 +238,7 @@ def _pl_at(a: TreeSum, i: int, m: int):
         outer.append((list(map(ends, maps)), splice, ct))
 
     def at(b: TreeSum) -> TreeSum:
-        if not isinstance(b, TreeSum) or b.arity != m:
+        if _expect(b, TreeSum).arity != m:
             raise TreeError(f"linear composition at arity {m} takes a TreeSum of it, got {b!r}")
         out = TreeSum(arity)
         # T o_i S with a graft map determines T, S and the map, so no two terms meet
@@ -264,7 +262,7 @@ def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
 def _one_map_at(tree: LabelledRootedTree, i: int, m: int, below: int, above: int):
     # a one-map composition staged: i's children below i regraft onto below, the others onto above
     children, ends, splice = _graft_kernel(_standard(tree), i, m)
-    head, tail = ends([below if k < i else above for k in children] if children else ())
+    head, tail = ends([below if k < i else above for k in children])
 
     def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
         return LabelledRootedTree._from_par(head + splice(_standard(inserted)) + tail)

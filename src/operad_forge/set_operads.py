@@ -53,12 +53,12 @@ def compose_nap(
 def _nap_at(tree: LabelledRootedTree, i: int, m: int):
     # compose_nap staged: T's part once for each root S may have, all of i's children onto it
     children, ends, splice = _graft_kernel(_standard(tree), i, m)
-    by_root = [ends([r] * len(children)) for r in range(1, m + 1)]
+    rooted_at = [ends([r] * len(children)) for r in range(1, m + 1)]
 
     def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
         ins = _standard(inserted)
         mid = splice(ins)  # checks S's arity before its root picks T's part
-        head, tail = by_root[ins.index(0)]
+        head, tail = rooted_at[ins.index(0)]
         return LabelledRootedTree._from_par(head + mid + tail)
 
     return at

@@ -28,7 +28,7 @@ class LabelledRootedTree:
     parent of v, 0 marks the root), any other by its sorted items.
     """
 
-    __slots__ = ("_key", "_par", "_root")
+    __slots__ = ("_key", "_par")
 
     def __init__(self, parent: Mapping[int, int | None]):
         if not parent:
@@ -60,15 +60,12 @@ class LabelledRootedTree:
         else:
             self._key = tuple(sorted(parent.items()))
             self._par = None
-        self._root = roots[0]
 
     @classmethod
-    def _from_par(cls, par: tuple[int, ...], root: int | None = None) -> "LabelledRootedTree":
+    def _from_par(cls, par: tuple[int, ...]) -> "LabelledRootedTree":
         # internal fast path: the caller guarantees a valid parent tuple
-        # (and its root, when it passes one; else the one 0 in par marks it)
         tree = cls.__new__(cls)
         tree._key = tree._par = par
-        tree._root = root or par.index(0) + 1
         return tree
 
     @property
@@ -78,7 +75,9 @@ class LabelledRootedTree:
 
     @property
     def root(self) -> int:
-        return self._root
+        if self._par is not None:
+            return self._par.index(0) + 1
+        return next(v for v, p in self._key if p is None)
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -130,7 +129,7 @@ class LabelledRootedTree:
             children.setdefault(p, []).append(v)
         # a stack of pending labels and punctuation, so depth is unbounded
         out: list[str] = []
-        stack: list[int | str] = [self._root]
+        stack: list[int | str] = [self.root]
         while stack:
             item = stack.pop()
             cs = children.get(item, ())
@@ -193,7 +192,7 @@ def parse_tree(text: str) -> LabelledRootedTree:
         raise TreeError(f"labels must be exactly 1..{len(parent)} in {text!r}")
     # the parse proved one root (the first label read), connectivity and labels 1..n
     par = tuple(parent[v] or 0 for v in range(1, len(parent) + 1))
-    return LabelledRootedTree._from_par(par, next(iter(parent)))
+    return LabelledRootedTree._from_par(par)
 
 
 def _expect(obj, cls=LabelledRootedTree, error=TreeError):
@@ -263,7 +262,7 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     v, p = root, 0
     while v:
         out[v - 1], v, p = p, par[v - 1], v
-    return LabelledRootedTree._from_par(tuple(out), root)
+    return LabelledRootedTree._from_par(tuple(out))
 
 
 def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:

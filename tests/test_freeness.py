@@ -147,6 +147,8 @@ class TestSplit:
                 for w in decomposition_witnesses(x):
                     t, s = split(x, w)
                     assert compose_max(t, w.a, s) == x
+                    assert parse_tree(str(t)) == t and parse_tree(str(s)) == s
+                    assert s.root == w.c - w.a + 1
 
     @settings(deadline=None)
     @given(standard_trees(max_n=20), standard_trees(max_n=20), st.data())

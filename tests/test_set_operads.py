@@ -257,7 +257,7 @@ class TestStagedForms:
 
     @pytest.mark.parametrize("a", [FORK, "2(1,3)", None])
     def test_a_linear_stage_rejects_an_outer_operand_that_is_not_a_sum(self, a):
-        with pytest.raises(TreeError, match="linear composition takes two TreeSums"):
+        with pytest.raises(TreeError, match="is not a TreeSum"):
             compose_pl_linear.at(a, 1, 2)
 
 
