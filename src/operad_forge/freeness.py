@@ -72,8 +72,7 @@ def decomposition_witnesses(tree: LabelledRootedTree) -> list[Witness]:
 
 def is_indecomposable(tree: LabelledRootedTree) -> bool:
     """True when no witness exists; only defined for arity >= 2."""
-    if len(_standard(tree)) < 2:
-        raise TreeError("generators have arity at least 2")
+    _arity(len(_standard(tree)), 2, "generators have arity at least 2")
     return next(_scan(tree), None) is None
 
 
@@ -180,8 +179,7 @@ def factorize(tree: LabelledRootedTree) -> OperationTree:
     witness inside it.  The scan order is a tie-break only, since the
     full factorization is unique.
     """
-    if len(_standard(tree)) < 2:
-        raise TreeError("only trees of arity >= 2 factorize")
+    _arity(len(_standard(tree)), 2, "only trees of arity >= 2 factorize")
     slots = [None] * tree.n  # the word standing at each input of what is left
     while (w := next(_scan(tree), None)) is not None:
         tree, generator = split(tree, w)

@@ -17,6 +17,8 @@ from .trees import (
     _arity,
     _degree,
     _expect,
+    _position,
+    _signed_sum,
     _standard,
     act,
     degree,
@@ -28,12 +30,6 @@ from .trees import (
 from .sweep import _sweep
 
 GraftMap = Mapping[int, int]
-
-
-def _check_compose_args(i: int, n: int) -> None:
-    """The one check on a composition position: an int in 1..n."""
-    if type(i) is not int or not 1 <= i <= n:
-        raise TreeError(f"position {i!r} out of range for arity {n}")
 
 
 def _graft_kernel(par: tuple[int, ...], i: int, m: int):
@@ -48,7 +44,7 @@ def _graft_kernel(par: tuple[int, ...], i: int, m: int):
     A term's parent tuple is ``head + splice(ins) + tail``, so T's part
     is patched once per graft map and S's spliced once per S.
     """
-    _check_compose_args(i, len(par))
+    _position(i, len(par))
     _arity(m, 1, "the inserted tree has arity at least 1")
     d, up = i - 1, m - 1  # shifts of inserted labels and of tree labels above i
     out = [p if p < i else p + up for p in par]  # 0, the root mark, stays 0
@@ -87,8 +83,7 @@ def graft_compose(
     if _expect(f, Mapping).keys() != set(children):
         raise TreeError("graft map must be total on the children of i")
     for target in f.values():
-        if type(target) is not int or not 1 <= target <= m:
-            raise TreeError(f"graft target {target!r} out of range for arity {m}")
+        _position(target, m, "graft target")
     head, tail = ends([f[k] for k in children])
     return LabelledRootedTree._from_par(head + splice(ins) + tail)
 
@@ -204,17 +199,7 @@ class TreeSum:
         return hash((self._arity, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for k, (tree, coeff) in enumerate(self.terms()):
-            if k == 0:
-                parts.append(f"{coeff}*{tree}")
-            elif coeff > 0:
-                parts.append(f" + {coeff}*{tree}")
-            else:
-                parts.append(f" - {-coeff}*{tree}")
-        return "".join(parts)
+        return _signed_sum(f"{coeff}*{tree}" for tree, coeff in self.terms())
 
     def __repr__(self) -> str:
         return f"TreeSum({self!s})"
@@ -229,7 +214,7 @@ def compose_pl(
 
 def _pl_at(a: TreeSum, i: int, m: int):
     # compose_pl_linear staged: per term of a, one kernel and T's part for every graft map
-    _check_compose_args(i, _expect(a, TreeSum).arity)
+    _position(i, _expect(a, TreeSum).arity)
     _arity(m, 1, "the inserted tree has arity at least 1")  # a zero sum builds no kernel to check it
     arity, outer = a.arity + m - 1, []
     for t, ct in a._terms.items():
@@ -293,7 +278,7 @@ def degree_bounds(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> tuple[int, int]:
     """Exact lower and upper bounds for term degrees of the composition."""
-    _check_compose_args(i, len(_standard(tree)))
+    _position(i, len(_standard(tree)))
     m = len(_standard(inserted))
     lo = (
         degree(tree)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .trees import _arity, _expect
+from .trees import _arity, _expect, _signed_sum
 
 
 class SeriesError(ValueError):
@@ -113,18 +113,12 @@ class PowerSeries:
         return PowerSeries(tuple(inv))
 
     def polynomial(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 and n > 0 else str(abs(c))
-            var = "" if n == 0 else ("x" if n == 1 else f"x^{n}")
-            term = f"{mag}{var}" or "0"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        if not parts:
-            return "0"
-        head = parts[0].lstrip("+ ").replace("- ", "-", 1)
-        return " ".join([head] + parts[1:])
+        # a unit coefficient of a power of x prints as its sign alone
+        return _signed_sum(
+            str(c) if n == 0 else {1: "", -1: "-"}.get(c, str(c)) + ("x" if n == 1 else f"x^{n}")
+            for n, c in enumerate(self.coeffs)
+            if c
+        )
 
 
 def cayley_series(order: int) -> PowerSeries:

@@ -16,11 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .trees import LabelledRootedTree, TreeError, _arity, _standard, enumerate_trees
+from .trees import LabelledRootedTree, TreeError, _arity, _position, _standard, enumerate_trees
 from .sweep import _sweep
 from .prelie import (
     TreeSum,
-    _check_compose_args,
     _graft_kernel,
     compose_pl_linear,
     graft_compose,
@@ -35,7 +34,7 @@ def f_nap_map(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> dict[int, int]:
     """Every displaced child regrafts onto the root of the inserted tree."""
-    _check_compose_args(i, len(_standard(tree)))
+    _position(i, len(_standard(tree)))
     _standard(inserted)
     return {k: inserted.root for k in tree.children(i)}
 

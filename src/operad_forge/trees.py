@@ -153,7 +153,7 @@ def parse_tree(text: str) -> LabelledRootedTree:
     The label set must be exactly ``{1..n}``, written in ASCII decimal
     without leading zeros.
     """
-    s = text.strip()
+    s = _expect(text, str).strip()
     if not s:
         raise TreeError("empty input")
     parent: dict[int, int | None] = {}
@@ -167,6 +167,9 @@ def parse_tree(text: str) -> LabelledRootedTree:
             raise TreeError(f"expected a label at position {start} in {text!r}")
         if s[start] == "0" and pos - start > 1:
             raise TreeError(f"leading zero at position {start} in {text!r}")
+        # a label is at most n <= len(s), and int() refuses a very long one
+        if pos - start > len(str(len(s))):
+            raise TreeError(f"label too long at position {start} in {text!r}")
         label = int(s[start:pos])
         if label in parent:
             raise TreeError(f"duplicate label {label} in {text!r}")
@@ -203,6 +206,19 @@ def _expect(obj, cls=LabelledRootedTree, error=TreeError):
     return obj
 
 
+def _position(x: int, n: int, what: str = "position") -> int:
+    # the one range check on a position, a root label or a graft target: x itself in 1..n
+    if type(x) is not int or type(n) is not int or not 1 <= x <= n:
+        raise TreeError(f"{what} {x!r} out of range for arity {n!r}")
+    return x
+
+
+def _signed_sum(parts: Iterable[str]) -> str:
+    # the one printer of a sum of signed term texts: "a + b - c", or "0" for no terms;
+    # a term text holds no space, so " + -" only ever stands before a negative term
+    return " + ".join(parts).replace(" + -", " - ") or "0"
+
+
 def _standard(tree: LabelledRootedTree) -> tuple[int, ...]:
     # the one guard of every entry defined on standard trees only: their parent tuple
     if not isinstance(tree, LabelledRootedTree):
@@ -220,7 +236,7 @@ def tree_to_json(tree: LabelledRootedTree) -> str:
 def tree_from_json(text: str) -> LabelledRootedTree:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # bad text, no text, too deep
         raise TreeError(f"invalid tree JSON: {exc}") from None
     if not isinstance(data, dict) or not {"n", "parent"} <= data.keys():
         raise TreeError('tree JSON must be an object with "n" and "parent"')
@@ -317,7 +333,10 @@ def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRoo
     vertex closest to the ambient root; labels are preserved.
     """
     _expect(tree)
-    kept = set(_expect(keep, Iterable))
+    try:
+        kept = set(_expect(keep, Iterable))
+    except TypeError:
+        raise TreeError(f"labels to keep must be integers, got {keep!r}") from None
     if not kept:
         raise TreeError("cannot restrict to an empty label set")
     # the induced parent map: a kept vertex whose parent is not kept is a root
@@ -336,14 +355,20 @@ def restrict(tree: LabelledRootedTree, keep: Iterable[int]) -> tuple[LabelledRoo
 
 def full_subtree(tree: LabelledRootedTree, c: int) -> LabelledRootedTree:
     """The subtree on all descendants of c (inclusive), rooted at c."""
+    _expect(tree).parent_of(c)  # raises TreeError for an unknown label
     parent: dict[int, int | None] = {c: None}
     stack = [c]
     while stack:
         v = stack.pop()
-        for w in _expect(tree).children(v):
+        for w in tree.children(v):
             parent[w] = v
             stack.append(w)
     return LabelledRootedTree(parent)
+
+
+def _relabel(tree: LabelledRootedTree, phi: Mapping[int, int]) -> LabelledRootedTree:
+    # the one relabelling: every label v renamed phi[v]
+    return LabelledRootedTree({phi[v]: phi[p] if p else None for v, p in tree._pairs()})
 
 
 def order_relabel(
@@ -356,10 +381,7 @@ def order_relabel(
     tgt = sorted(set(target))
     if len(tgt) != len(target) or len(tgt) != len(source):
         raise TreeError(f"target needs {len(source)} distinct labels, got {target}")
-    phi = dict(zip(source, tgt))
-    return LabelledRootedTree(
-        {phi[v]: (phi[p] if p is not None else None) for v, p in tree.parent_map().items()}
-    )
+    return _relabel(tree, dict(zip(source, tgt)))
 
 
 def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTree:
@@ -367,9 +389,7 @@ def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTre
     labels = list(range(1, len(_standard(tree)) + 1))
     if sorted(_expect(sigma, Mapping)) != labels or sorted(sigma.values()) != labels:
         raise TreeError("sigma is not a permutation of the label set")
-    return LabelledRootedTree(
-        {sigma[v]: (sigma[p] if p is not None else None) for v, p in tree.parent_map().items()}
-    )
+    return _relabel(tree, sigma)
 
 
 def gap(tree: LabelledRootedTree, i: int) -> int:
@@ -390,8 +410,7 @@ def epsilon(tree: LabelledRootedTree, i: int, m: int, s: int) -> int:
     the parent of i lies below or above i.  Here m is the arity of the
     inserted tree and s the label of its root.
     """
-    if type(m) is not int or type(s) is not int or not 1 <= s <= m:
-        raise TreeError(f"root label {s!r} out of range for arity {m!r}")
+    _position(s, m, "root label")
     k = _expect(tree).parent_of(i)
     if k is None:
         return 0

@@ -126,6 +126,16 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["degree", "factorize"])
+    def test_label_too_long_for_int(self, capsys, tmp_path, command):
+        path = tmp_path / "long.txt"
+        path.write_text("2(1," + "3" * 4400 + ")\n")
+        for argv in ([command, "1" * 5000], [command, "--input", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_minmax(self, capsys):
         code, out = run(capsys, "minmax", "-i", "2", "2(1,3)", "2(1)")
         assert code == 0

@@ -140,6 +140,11 @@ class TestTreeSum:
     def test_string_with_negative_terms(self):
         s = TreeSum.single(parse_tree("1(2)")) - 2 * TreeSum.single(parse_tree("2(1)"))
         assert str(s) == "1*1(2) - 2*2(1)"
+        assert str(-1 * compose_pl(FORK, 2, CHAIN)) == (
+            "-1*3(1,2(4)) - 1*3(1,2,4) - 1*3(2(1),4) - 1*3(2(1,4))"
+        )
+        s = TreeSum.single(CHAIN) - 3 * TreeSum.single(parse_tree("1(2)"))
+        assert str(s) == "-3*1(2) + 1*2(1)"
 
     def test_zero_sum_prints_as_zero(self):
         assert str(TreeSum(3)) == "0"

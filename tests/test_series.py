@@ -159,3 +159,7 @@ def test_polynomial_rendering():
     assert beta.polynomial() == "2x^2 + x^3 + 14x^4"
     assert PowerSeries.zero(3).polynomial() == "0"
     assert series(0, 1, -1).polynomial() == "x - x^2"
+    assert series(-1, -1, 2, -3).polynomial() == "-1 - x + 2x^2 - 3x^3"
+    assert series(1, 0, -1).polynomial() == "1 - x^2"
+    assert series(0, -1).polynomial() == "-x"
+    assert series(-7).polynomial() == "-7"

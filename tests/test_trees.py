@@ -83,6 +83,10 @@ class TestParseRender:
             "", "1(", "2(1,1)", "1(3)", "a(b)", "1(2))", "0", "1(2) x",
             "2(01)", "1(\u0662)", "1(\u00b2)",  # leading zero, non-ASCII digits
             "1(2", "1(2]",  # an open child list that does not close
+            # labels longer than int() reads
+            pytest.param("1" * 5000, id="5000-digit root"),
+            pytest.param("2(1," + "3" * 4400 + ")", id="4400-digit child"),
+            None, 123, pytest.param(b"1", id="bytes"),  # not a str
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -141,6 +145,7 @@ class TestJson:
         assert data["n"] == 8
         assert data["parent"][5] == 0  # vertex 6 is the root
         assert tree_from_json(tree_to_json(t)) == t
+        assert tree_from_json(tree_to_json(t).encode()) == t  # bytes, as json.loads takes
 
     @pytest.mark.parametrize(
         "text",
@@ -160,6 +165,9 @@ class TestJson:
             '{"n":2,"parent":[2,1]}',
             '{"n":2,"parent":[0,5]}',
             '{"n":3,"parent":[2,1,0]}',
+            None,
+            pytest.param('{"n":1,"parent":[' + "1" * 5000 + "]}", id="5000-digit parent"),
+            pytest.param("[" * 100000, id="100000 open brackets"),
         ],
     )
     def test_rejects_malformed(self, text):
@@ -247,6 +255,10 @@ class TestRestrictAndSubtrees:
         for keep in (None, 5):
             with pytest.raises(TreeError, match="is not an Iterable"):
                 restrict(t, keep)
+        with pytest.raises(TreeError, match="must be integers"):
+            restrict(t, [[1]])  # an unhashable label
+        with pytest.raises(TreeError, match="no vertex labelled"):
+            full_subtree(t, [1])
 
     def test_full_subtree_example(self):
         x = parse_tree(X_TEXT)
@@ -410,6 +422,7 @@ TREE_ENTRIES = {
     "order_relabel": lambda x: order_relabel(x, [1, 2]),
     "epsilon": lambda x: epsilon(x, 1, 2, 1),
     "full_subtree": lambda x: full_subtree(x, 1),
+    "full_subtree list label": lambda x: full_subtree(x, [1]),  # the tree is checked first
     "graft_maps": lambda x: list(graft_maps(x, 1, 2)),
     "f_min_map": lambda x: f_min_map(x, 1, 2),
     "f_max_map": lambda x: f_max_map(x, 1, 2),
