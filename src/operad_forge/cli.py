@@ -42,13 +42,15 @@ from .series import SeriesError, generator_series
 
 
 def _input_trees(args) -> list:
-    if args.input:
+    if args.input is not None and args.tree is not None:
+        raise TreeError("give a tree argument or --input FILE, not both")
+    if args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
             try:
                 return [parse_tree(line) for line in fh if line.strip()]
             except UnicodeDecodeError as exc:
                 raise TreeError(f"{args.input} is not UTF-8 text: {exc}") from None
-    if not args.tree:
+    if args.tree is None:
         raise TreeError("give a tree argument or --input FILE")
     return [parse_tree(args.tree)]
 

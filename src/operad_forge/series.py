@@ -103,14 +103,11 @@ class PowerSeries:
         """
         if self.coefficient(0) != 0 or self.coefficient(1) != 1:
             raise SeriesError("inverse needs the form x + higher-order terms")
-        order = self.order
-        inv = [0] * (order + 1)
-        inv[1] = 1
-        for k in range(2, order + 1):
-            # with inv correct below degree k, the composite is x + e*x^k + ...
-            e = self.compose(PowerSeries(tuple(inv))).coefficient(k)
-            inv[k] -= e
-        return PowerSeries(tuple(inv))
+        # self = x + h gives g = x - h(g); h starts at x^2, so pass k fixes g's x^k term
+        h, g = self - PowerSeries.identity(self.order), PowerSeries.identity(1)
+        for k in range(2, self.order + 1):
+            g = PowerSeries.identity(k) - h.compose(g.truncate(k))
+        return g
 
     def polynomial(self) -> str:
         # a unit coefficient of a power of x prints as its sign alone

@@ -164,15 +164,15 @@ def parse_tree(text: str) -> LabelledRootedTree:
         while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if start == pos:
-            raise TreeError(f"expected a label at position {start} in {text!r}")
+            raise TreeError(f"expected a label at position {start} in {_shown(text)}")
         if s[start] == "0" and pos - start > 1:
-            raise TreeError(f"leading zero at position {start} in {text!r}")
+            raise TreeError(f"leading zero at position {start} in {_shown(text)}")
         # a label is at most n <= len(s), and int() refuses a very long one
         if pos - start > len(str(len(s))):
-            raise TreeError(f"label too long at position {start} in {text!r}")
+            raise TreeError(f"label too long at position {start} in {_shown(text)}")
         label = int(s[start:pos])
         if label in parent:
-            raise TreeError(f"duplicate label {label} in {text!r}")
+            raise TreeError(f"duplicate label {label} in {_shown(text)}")
         parent[label] = open_labels[-1] if open_labels else None
         if pos < len(s) and s[pos] == "(":
             pos += 1
@@ -184,15 +184,15 @@ def parse_tree(text: str) -> LabelledRootedTree:
                 pos += 1
                 break
             if pos >= len(s) or s[pos] != ")":
-                raise TreeError(f"expected ')' at position {pos} in {text!r}")
+                raise TreeError(f"expected ')' at position {pos} in {_shown(text)}")
             pos += 1
             open_labels.pop()
         else:
             break
     if pos != len(s):
-        raise TreeError(f"trailing text at position {pos} in {text!r}")
+        raise TreeError(f"trailing text at position {pos} in {_shown(text)}")
     if sorted(parent) != list(range(1, len(parent) + 1)):
-        raise TreeError(f"labels must be exactly 1..{len(parent)} in {text!r}")
+        raise TreeError(f"labels must be exactly 1..{len(parent)} in {_shown(text)}")
     # the parse proved one root (the first label read), connectivity and labels 1..n
     par = tuple(parent[v] or 0 for v in range(1, len(parent) + 1))
     return LabelledRootedTree._from_par(par)
@@ -202,8 +202,14 @@ def _expect(obj, cls=LabelledRootedTree, error=TreeError):
     # the one type check on an argument in every layer: obj itself when it is a cls
     if not isinstance(obj, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise error(f"{obj!r} is not {article} {cls.__name__}")
+        raise error(f"{_shown(obj)} is not {article} {cls.__name__}")
     return obj
+
+
+def _shown(obj) -> str:
+    # an argument echoed in an error message: its repr, clipped to 60 characters
+    text = repr(obj)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _position(x: int, n: int, what: str = "position") -> int:

@@ -94,6 +94,20 @@ class TestOtherCommands:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: give a tree argument or --input FILE\n"
 
+    def test_empty_tree_argument_is_parsed(self, capsys):
+        code = main(["degree", ""])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: empty input\n")
+
+    @pytest.mark.parametrize("command", ["degree", "factorize"])
+    def test_tree_argument_and_input_together(self, capsys, tmp_path, command):
+        path = tmp_path / "trees.txt"
+        path.write_text("2(1)\n")
+        code = main([command, "1(2)", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: give a tree argument or --input FILE, not both\n"
+
     def test_degree_batch(self, capsys, tmp_path):
         path = tmp_path / "trees.txt"
         path.write_text("1(2)\n2(1,3)\n")
@@ -135,6 +149,7 @@ class TestOtherCommands:
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, "")
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert len(captured.err) < 200  # the long label is clipped
 
     def test_minmax(self, capsys):
         code, out = run(capsys, "minmax", "-i", "2", "2(1,3)", "2(1)")
@@ -158,6 +173,12 @@ class TestOtherCommands:
         assert lines[0] == "2:2"
         assert lines[7] == "9:13759430"
         assert lines[8].startswith("2x^2 + x^3 + 14x^4")
+
+    def test_hilbert_at_order_100(self, capsys):
+        code, out = run(capsys, "hilbert", "--order", "100")
+        assert (code, sha256(out)) == (
+            0, "5af078203508ead52942fc1a6646b88de59f7c55916a901b0f4b32ce3bb97bc7"
+        )
 
 
 class TestVerify:

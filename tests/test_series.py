@@ -107,6 +107,15 @@ class TestCompositionalInverse:
         with pytest.raises(SeriesError):
             series(0, 2).compositional_inverse()
 
+    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=24))
+    @settings(max_examples=40)
+    def test_inverse_on_both_sides(self, tail):
+        # f = x + tail at order 2..25; g is its inverse by definition
+        f = PowerSeries((0, 1, *tail))
+        g = f.compositional_inverse()
+        assert f.compose(g) == PowerSeries.identity(f.order)
+        assert g.compose(f) == PowerSeries.identity(f.order)
+
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=7, max_size=7))
     @settings(max_examples=40)
     def test_involution(self, tail):
@@ -124,6 +133,9 @@ class TestGeneratorSeries:
         alpha = cayley_series(9)
         beta = generator_series(9)
         assert verify_functional_equation(alpha, beta, 9)
+
+    def test_functional_equation_at_order_100(self):
+        assert verify_functional_equation(cayley_series(100), generator_series(100), 100)
 
     def test_zero_generator_series(self):
         assert verify_functional_equation(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from operad_forge.trees import (
     LabelledRootedTree,
     TreeError,
+    _expect,
     act,
     degree,
     enumerate_trees,
@@ -90,8 +91,24 @@ class TestParseRender:
         ],
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(TreeError):
+        with pytest.raises(TreeError) as exc:
             parse_tree(bad)
+        assert len(str(exc.value)) < 200  # a long input is clipped in the message
+
+    def test_messages_show_a_short_input_whole_and_clip_a_long_one(self):
+        with pytest.raises(TreeError) as exc:
+            parse_tree("1(2))")
+        assert str(exc.value) == "trailing text at position 4 in '1(2))'"
+        with pytest.raises(TreeError) as exc:
+            parse_tree("1" * 5000)
+        assert str(exc.value) == (
+            f"label too long at position 0 in '{'1' * 59}... (5002 characters)"
+        )
+
+    def test_type_check_clips_a_long_argument(self):
+        with pytest.raises(TreeError, match=r"characters\) is not a LabelledRootedTree$") as exc:
+            _expect(list(range(10_000)))
+        assert len(str(exc.value)) < 200
 
     def test_roundtrip_all_small_trees(self):
         for n in range(1, 6):
