@@ -3,7 +3,7 @@
 All output is deterministic for a given invocation: trees print in
 canonical form and sums with terms sorted.  Exit codes: 0 on success
 or a passing verification, 1 on a failed verification, 2 on usage or
-parse errors.
+parse errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -222,6 +222,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(args)
     except (TreeError, SeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an arity or order too large for this machine
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,8 @@ from .trees import (
     TreeError,
     _arity,
     _expect,
-    _rootings,
+    _free_tree,
+    _reroot,
     _standard,
     restrict,
 )
@@ -192,15 +193,44 @@ def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     return _indecomposables(_arity(n, 2, "generators have arity at least 2"))
 
 
+def _free_generators(par: list[int]) -> tuple[tuple[int, ...], ...]:
+    # The generators among the rootings of a free tree (a parent list rooted
+    # at n), as parent tuples.  [a, b] is connected, whatever the root, when
+    # it holds b - a edges.  A boundary edge {u inside, v outside} is good
+    # when v < a and u = b, or v > b and u = a; rooted at r, [a, b] is a
+    # witness when every bad edge is the one towards r.  So a connected
+    # non-trivial interval with no bad edge rules out every root, with one
+    # bad edge (u, v) the roots on v's side, and with two or more none.
+    n = len(par)
+    nbrs = [[w for w in range(1, n + 1) if v == par[w - 1] or w == par[v - 1]] for v in range(n + 1)]
+    below = [0] * (n + 1)  # the vertices under each vertex, as bits
+    for v in range(1, n + 1):
+        u = v
+        while u:
+            below[u] |= 1 << v
+            u = par[u - 1]
+    alive = (1 << n + 1) - 2  # the roots not yet ruled out, as bits 1..n
+    for a in range(1, n):
+        inner = 0  # the edges inside [a, b]
+        for b in range(a + 1, n + (a > 1)):
+            inner += sum(a <= w < b for w in nbrs[b])
+            if inner < b - a:
+                continue
+            bad = [(u, v) for u in range(a, b + 1) for v in nbrs[u]
+                   if not a <= v <= b and u != (b if v < a else a)]
+            if not bad:
+                return ()
+            if len(bad) == 1:
+                (u, v), = bad  # keep the roots on u's side
+                alive &= below[u] if par[u - 1] == v else ~below[v]
+    return tuple(_reroot(par, r)._par for r in range(1, n + 1) if alive >> r & 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    # the trees of enumerate_trees(n), one Prüfer rank per sweep item; a worker
-    # sends back parent tuples, which cross the pipe lighter than trees
-    def generators(rank: int) -> tuple[tuple[int, ...], ...]:
-        trees = _rootings(rank, n)
-        return tuple(t._par for t in trees if is_indecomposable(t))
-
-    shares = _sweep(range(n ** (n - 2)), generators)
+    # one Prüfer rank per sweep item; a worker sends back parent tuples,
+    # which cross the pipe lighter than trees
+    shares = _sweep(range(n ** (n - 2)), lambda rank: _free_generators(_free_tree(rank, n)))
     found = [LabelledRootedTree._from_par(par) for share in shares for par in share]
     return tuple(sorted(found, key=str))
 

@@ -287,14 +287,19 @@ def _reroot(par: list[int], root: int) -> LabelledRootedTree:
     return LabelledRootedTree._from_par(tuple(out))
 
 
-def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:
-    # the free tree whose Prüfer sequence is rank's base-n digits plus 1, rooted at 1..n in turn
+def _free_tree(rank: int, n: int) -> list[int]:
+    # the free tree whose Prüfer sequence is rank's base-n digits plus 1, rooted at n
     seq = []
     for _ in range(n - 2):
         rank, digit = divmod(rank, n)
         seq.append(digit + 1)
     seq.reverse()
-    par = _prufer_parents(seq, n)
+    return _prufer_parents(seq, n)
+
+
+def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:
+    # that free tree rooted at 1..n in turn
+    par = _free_tree(rank, n)
     return [_reroot(par, root) for root in range(1, n + 1)]
 
 

@@ -166,6 +166,18 @@ class TestOtherCommands:
         code, out = run(capsys, "indecomposables", "-n", "4", "--count")
         assert code == 0 and out.strip() == "14"
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(par):
+            raise MemoryError
+
+        freeness.indecomposables.cache_clear()  # so that the search runs
+        monkeypatch.setattr(freeness, "_free_generators", exhausted)
+        code = main(["indecomposables", "-n", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 200
+
     def test_hilbert(self, capsys):
         code, out = run(capsys, "hilbert", "--order", "9")
         assert code == 0

@@ -6,12 +6,21 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from operad_forge.trees import TreeError, enumerate_trees, order_relabel, parse_tree
+from operad_forge.trees import (
+    LabelledRootedTree,
+    TreeError,
+    _free_tree,
+    _rootings,
+    enumerate_trees,
+    order_relabel,
+    parse_tree,
+)
 from operad_forge.prelie import TreeSum
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
 from operad_forge.freeness import (
     OperationTree,
     Witness,
+    _free_generators,
     count_indecomposables,
     decomposition_witnesses,
     evaluate,
@@ -23,6 +32,8 @@ from operad_forge.freeness import (
     split,
     verify_freeness,
 )
+from operad_forge.series import generator_series
+from operad_forge.sweep import _sweep
 
 from conftest import mirrored_word, reversed_tree, standard_trees
 
@@ -123,6 +134,45 @@ class TestIndecomposable:
     @pytest.mark.slow
     def test_generator_count_arity_six(self):
         assert count_indecomposables(6) == 1994
+
+    @pytest.mark.slow
+    def test_generator_count_arity_eight_is_the_series_coefficient(self, monkeypatch):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
+        try:
+            assert count_indecomposables(8) == generator_series(8).coefficient(8) == 630320
+        finally:
+            indecomposables.cache_clear()  # the 630 320 trees are not kept for later tests
+
+
+class TestFreeTreePass:
+    """The generators of a free tree's rootings from one pass over its intervals."""
+
+    @staticmethod
+    def generators(par):
+        return [str(LabelledRootedTree._from_par(g)) for g in _free_generators(par)]
+
+    def test_interval_without_bad_edge_rules_out_every_root(self):
+        # path 1-3-2: [2, 3] is connected and its one boundary edge {3, 1} is good
+        assert self.generators([3, 3, 0]) == []
+
+    def test_one_bad_edge_rules_out_the_roots_beyond_it(self):
+        # path 1-2-3: [1, 2] rules out root 3 and [2, 3] rules out root 1
+        assert self.generators([2, 3, 0]) == ["2(1,3)"]
+
+    def test_two_bad_edges_rule_out_nothing(self):
+        # star centred at 2: [1, 2] has the bad edges {2, 3} and {2, 4}
+        assert self.generators([2, 4, 2, 0]) == ["2(1,3,4)", "3(2(1,4))"]
+
+    @pytest.mark.slow
+    def test_agrees_with_is_indecomposable_on_every_rooting_of_arity_seven(self, monkeypatch):
+        # arities 2..6 are checked through indecomposables in test_sweep.py
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
+
+        def agrees(rank):
+            literal = tuple(t._par for t in _rootings(rank, 7) if is_indecomposable(t))
+            return _free_generators(_free_tree(rank, 7)) == literal
+
+        assert [rank for rank, ok in enumerate(_sweep(range(7**5), agrees)) if not ok] == []
 
 
 class TestSplit:
