@@ -120,28 +120,29 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
             )
 
     def associativity(item) -> list[Violation]:
-        # sequential and parallel, for one (a, b) and every c of arity ell
-        n, m, ell, a, b = item
+        # sequential and parallel, for one a and every b of arity m and c of arity ell
+        n, m, ell, a = item
         found: list[Violation] = []
-        ab_at = at[a, b]
-        # no stage depends on c: (a o_i b) o_k c for every k a left side uses
-        # (k < i parallel, the others sequential), and a o_i x for x = b o_j c
-        lhs_at = [
-            [stage(ab_at[i - 1], k, ell) for k in range(1, i + m)] for i in range(1, n + 1)
-        ]
+        # no stage depends on b: a o_i x for x = b o_j c, and (a o_j c) o_{i+ell-1} x, j < i
         rhs_at = [stage(a, i, m + ell - 1) for i in range(1, n + 1)]
-        for c in basis[ell]:
-            bc_at, ac_at = at[b, c], at[a, c]
-            for i in range(1, n + 1):
-                lhs_i, rhs_i = lhs_at[i - 1], rhs_at[i - 1]
-                for j in range(1, m + 1):
-                    lhs = lhs_i[j + i - 2](c)
-                    rhs = rhs_i(bc_at[j - 1])
-                    check(found, "seq", a, b, c, i, j, lhs, rhs)
-                for j in range(1, i):
-                    lhs = lhs_i[j - 1](c)
-                    rhs = stage(ac_at[j - 1], i + ell - 1, m)(b)
-                    check(found, "par", a, b, c, i, j, lhs, rhs)
+        par_at = [
+            [[stage(ac, i + ell - 1, m) for ac in at[a, c][: i - 1]] for i in range(1, n + 1)]
+            for c in basis[ell]
+        ]
+        for b in basis[m]:
+            ab_at = at[a, b]
+            # no stage depends on c: (a o_i b) o_k c, k < i parallel and the others sequential
+            lhs_at = [
+                [stage(ab_at[i - 1], k, ell) for k in range(1, i + m)] for i in range(1, n + 1)
+            ]
+            for c, par_c in zip(basis[ell], par_at):
+                bc_at = at[b, c]
+                for i in range(1, n + 1):
+                    lhs_i, rhs_i, par_i = lhs_at[i - 1], rhs_at[i - 1], par_c[i - 1]
+                    for j in range(1, m + 1):
+                        check(found, "seq", a, b, c, i, j, lhs_i[j + i - 2](c), rhs_i(bc_at[j - 1]))
+                    for j in range(1, i):
+                        check(found, "par", a, b, c, i, j, lhs_i[j - 1](c), par_i[j - 1](b))
         return found
 
     violations: list[Violation] = []
@@ -150,11 +151,7 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
             check(violations, "unitL", a, "1", "-", 1, 0, at[unit, a][0], a)
             for i in range(1, n + 1):
                 check(violations, "unitR", a, "1", "-", i, 0, at[a, unit][i - 1], a)
-    items = [
-        (n, m, ell, a, b)
-        for n, m, ell in itertools.product(arities, repeat=3)
-        for a, b in itertools.product(basis[n], basis[m])
-    ]
+    items = [(n, m, ell, a) for n, m, ell in itertools.product(arities, repeat=3) for a in basis[n]]
     for found in _sweep(items, associativity):
         violations += found
     return violations

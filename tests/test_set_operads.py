@@ -3,9 +3,17 @@ import os
 
 import pytest
 
-from operad_forge.trees import TreeError, degree, enumerate_trees, parse_tree
+from operad_forge.trees import (
+    LabelledRootedTree,
+    TreeError,
+    _standard,
+    degree,
+    enumerate_trees,
+    parse_tree,
+)
 from operad_forge.prelie import (
     TreeSum,
+    _graft_kernel,
     compose_pl_linear,
     degree_bounds,
     f_max_map,
@@ -106,6 +114,13 @@ class TestAxioms:
     @pytest.mark.slow
     def test_linearized_composition_axioms(self):
         assert check_axioms("pl", 3) == []
+
+    @pytest.mark.exhaustive
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["min", "nap", "pl"])
+    def test_axioms_arity_four(self, monkeypatch, kind):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
+        assert check_axioms(kind, 4) == []
 
     def test_violation_line_format(self):
         from operad_forge.set_operads import Violation
@@ -291,3 +306,45 @@ def test_violations_through_a_stage_of_its_own(monkeypatch, threads):
     assert stages  # the caller's share went through the staged form
     assert found == untabulated_violations(staged_clamp, 3)
     assert found == untabulated_violations(clamp_compose, 3)
+
+
+def _kernel_clamp_at(tree, i, m):
+    """clamp_compose staged on the kernel: T's part built once per (T, i, m)."""
+    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+    head, tail = ends([min(k, m) for k in children])
+    return lambda inserted: LabelledRootedTree._from_par(head + splice(_standard(inserted)) + tail)
+
+
+def kernel_clamp(tree, i, inserted):
+    return _kernel_clamp_at(tree, i, inserted.n)(inserted)
+
+
+kernel_clamp.at = _kernel_clamp_at
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_violations_through_stages_that_hold_their_operand(monkeypatch, threads):
+    """Each stage holds T's part of the kernel, so one applied to the wrong b
+    or c, or reused for another outer tree, changes a violation."""
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setitem(SET_COMPOSE, "max", kernel_clamp)
+    found = check_axioms("max", 3)
+    assert len(found) == 6665
+    assert found == untabulated_violations(clamp_compose, 3)
+
+
+def test_axiom_sweep_builds_each_stage_once_per_first_tree(monkeypatch):
+    monkeypatch.setenv("OPERAD_FORGE_THREADS", "1")
+    built = []
+    plain_at = compose_max.at
+
+    def counting_at(tree, i, m):
+        built.append((tree, i, m))
+        return plain_at(tree, i, m)
+
+    monkeypatch.setattr(compose_max, "at", counting_at)
+    assert check_axioms("max", 3) == []
+    # at arity 3: 384 for the basis table, 4 116 left stages (a o_i b) o_k x,
+    # 288 for a o_i x and 1 044 parallel right sides (a o_j c) o_{i+ell-1} x
+    assert len(built) <= 384 + 4116 + 288 + 1044  # 5 832; one item per (a, b) built 9 828
