@@ -274,20 +274,32 @@ min_term.at = lambda tree, i, m: _one_map_at(tree, i, m, 1, m)
 max_term.at = lambda tree, i, m: _one_map_at(tree, i, m, m, 1)
 
 
+def _bounds_at(tree: LabelledRootedTree, i: int, m: int):
+    # degree_bounds staged: T's share of lo, the spread hi - lo and epsilon per root of S, once
+    _position(i, len(_standard(tree)))
+    _arity(m, 1, "the inserted tree has arity at least 1")
+    base = degree(tree) + gap(tree, i) * (m - 1)
+    spread = len(tree.children(i)) * (m - 1)
+    eps = [epsilon(tree, i, m, r) for r in range(1, m + 1)]
+
+    def at(inserted: LabelledRootedTree) -> tuple[int, int]:
+        if len(_standard(inserted)) != m:
+            raise TreeError(f"inserted tree {inserted} has arity {inserted.n}, expected {m}")
+        lo = base + degree(inserted) + eps[inserted.root - 1]
+        return lo, lo + spread
+
+    return at
+
+
 def degree_bounds(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> tuple[int, int]:
-    """Exact lower and upper bounds for term degrees of the composition."""
-    _position(i, len(_standard(tree)))
-    m = len(_standard(inserted))
-    lo = (
-        degree(tree)
-        + degree(inserted)
-        + gap(tree, i) * (m - 1)
-        + epsilon(tree, i, m, inserted.root)
-    )
-    hi = lo + len(tree.children(i)) * (m - 1)
-    return lo, hi
+    """Exact lower and upper bounds for term degrees of the composition: its stage applied once."""
+    _position(i, len(_standard(tree)))  # T and i are checked before S is read
+    return degree_bounds.at(tree, i, len(_standard(inserted)))(inserted)
+
+
+degree_bounds.at = _bounds_at
 
 
 def check_extremal_terms(max_arity: int) -> list[str]:
@@ -304,27 +316,33 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     def extremal(item) -> list[str]:
         t, i = item
         failures: list[str] = []
-        for m in arities:  # one kernel and extremal stages per (T, i, m), in the basis order of S
+        for m in arities:  # the stages and T's part of every term degree once per (T, i, m)
             children, ends, splice = _graft_kernel(t._par, i, m)
-            pairs = list(map(ends, itertools.product(range(1, m + 1), repeat=len(children))))
+            bounds_at = degree_bounds.at(t, i, m)
             lo_at, hi_at = min_term.at(t, i, m), max_term.at(t, i, m)
+            # a term's parent tuple is head + splice(S) + tail, at positions 1.., i.. and i + m..,
+            # so its degree is T's part, fixed per graft map, plus S's part, fixed per S
+            maps = itertools.product(range(1, m + 1), repeat=len(children))
+            outer = [
+                _degree(enumerate(head, 1)) + _degree(enumerate(tail, i + m))
+                for head, tail in map(ends, maps)
+            ]
+            least, most = min(outer), max(outer)
+            # one graft map at least, so lo == hi forces a single degree
+            unique = outer.count(least) == 1 and outer.count(most) == 1
             for s in basis[m]:
-                lo, hi = degree_bounds(t, i, s)
-                mid = splice(s._par)
-                degs = [_degree(enumerate(head + mid + tail, 1)) for head, tail in pairs]
-                # one graft map at least, so lo == hi forces a single degree
+                lo, hi = bounds_at(s)
+                mid = _degree(enumerate(splice(s._par), i))
                 ok = (
-                    min(degs) == lo
-                    and max(degs) == hi
-                    and degs.count(lo) == 1
-                    and degs.count(hi) == 1
+                    least + mid == lo
+                    and most + mid == hi
+                    and unique
                     and degree(lo_at(s)) == lo
                     and degree(hi_at(s)) == hi
                 )
                 if not ok:
-                    failures.append(
-                        f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={sorted(degs)}"
-                    )
+                    degs = sorted([d + mid for d in outer])
+                    failures.append(f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={degs}")
         return failures
 
     items = [(t, i) for m in arities for t in basis[m] for i in range(1, m + 1)]

@@ -11,7 +11,9 @@ from operad_forge.trees import (
     act,
     degree,
     enumerate_trees,
+    epsilon,
     full_subtree,
+    gap,
     order_relabel,
     parse_tree,
     restrict,
@@ -375,6 +377,94 @@ class TestExtremalTerms:
         i = data.draw(st.integers(min_value=1, max_value=t.n))
         lo, hi = degree_bounds(t, i, s)
         assert degree(min_term(t, i, s)) == lo and degree(max_term(t, i, s)) == hi
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_case_fails_when_the_bounds_are_off_by_one(self, monkeypatch, threads):
+        # keeps the bound comparison live: the sweep must not trust its own degree table
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", threads)
+        bounds_at = prelie.degree_bounds.at
+
+        def raised_lo_at(t, i, m):
+            at = bounds_at(t, i, m)
+            return lambda s: (at(s)[0] + 1, at(s)[1])
+
+        monkeypatch.setattr(prelie.degree_bounds, "at", raised_lo_at)
+        failures = check_extremal_terms(3)
+        assert len(failures) == 384  # every (T, i, S) with both arities <= 3
+        assert failures[0] == "T=1 i=1 S=1 bounds=(1,0) degrees=[0]"
+        form = re.compile(r"T=\S+ i=\d+ S=\S+ bounds=\((\d+),(\d+)\) degrees=\[([\d, ]+)\]")
+        for line in failures:
+            lo, hi, listed = form.fullmatch(line).groups()
+            degs = [int(d) for d in listed.split(", ")]
+            assert degs == sorted(degs) and degs[0] == int(lo) - 1 and degs[-1] == int(hi)
+
+    def test_the_sweep_builds_the_bounds_once_per_stage(self, monkeypatch):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "1")
+        calls = []
+        plain_gap = prelie.gap
+        monkeypatch.setattr(prelie, "gap", lambda t, i: calls.append((t, i)) or plain_gap(t, i))
+        assert check_extremal_terms(4) == []
+        # 288 (T, i) times 4 arities of S; one bounds call per S made 21 888
+        assert len(calls) == 1152
+
+
+class TestDegreeBoundsOracle:
+    """Each layer under the extremal sweep against its literal definition."""
+
+    @staticmethod
+    def edge_sum(t):
+        return sum(abs(v - p) for v, p in t.edges())
+
+    def test_degree_of_every_small_tree(self):
+        for n in range(1, 7):
+            for t in enumerate_trees(n):
+                assert degree(t) == self.edge_sum(t), str(t)
+
+    def test_degree_of_trees_that_are_not_standard(self):
+        trees = [t for n in range(1, 5) for t in enumerate_trees(n)]
+        for t in trees:
+            sparse = order_relabel(t, [3 * v + 7 for v in range(t.n)])
+            pieces = [full_subtree(t, c) for c in t.labels] + list(restrict(t, t.labels[1:] or [1]))
+            for u in (sparse, *pieces):
+                assert degree(u) == self.edge_sum(u), str(u)
+        assert degree(sparse) == 3 * degree(t)  # labels 3v + 7 triple every edge length
+
+    @pytest.mark.parametrize("labels", [range(1, 1201), range(1200, 0, -1)], ids=["up", "down"])
+    def test_degree_of_the_deep_chain(self, labels):
+        chain = parse_tree("(".join(map(str, labels)) + ")" * 1199)
+        assert degree(chain) == self.edge_sum(chain) == 1199
+
+    def test_bounds_of_every_triple_to_arity_four(self):
+        basis = {m: list(enumerate_trees(m)) for m in range(1, 5)}
+        cases = 0
+        for n, m in itertools.product(basis, repeat=2):
+            for t, i in itertools.product(basis[n], range(1, n + 1)):
+                at = degree_bounds.at(t, i, m)
+                for s in basis[m]:
+                    lo = degree(t) + degree(s) + gap(t, i) * (m - 1) + epsilon(t, i, m, s.root)
+                    expected = (lo, lo + len(t.children(i)) * (m - 1))
+                    assert at(s) == degree_bounds(t, i, s) == expected, (str(t), i, str(s))
+                    cases += 1
+        assert cases == 21888
+
+    @pytest.mark.parametrize("i", [0, 4, "2", 2.0, True])
+    def test_the_stage_rejects_a_position_when_built(self, i):
+        with pytest.raises(TreeError, match="out of range for arity 3"):
+            degree_bounds.at(FORK, i, 2)
+
+    @pytest.mark.parametrize("m", ["2", 2.0, True, 0])
+    def test_the_stage_rejects_an_arity_that_is_not_a_count_when_built(self, m):
+        with pytest.raises(TreeError, match="must be an integer|arity at least 1"):
+            degree_bounds.at(FORK, 2, m)
+
+    def test_the_stage_rejects_an_inserted_tree_of_another_arity_when_applied(self):
+        at = degree_bounds.at(FORK, 2, 2)
+        for s in (FORK, parse_tree("1")):
+            with pytest.raises(TreeError, match=f"has arity {s.n}, expected 2"):
+                at(s)
+        with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
+            at("1(2)")
+        assert at(CHAIN) == (3, 5)
 
 
 class TestPreLieRelation:

@@ -185,14 +185,14 @@ def test_an_error_in_a_workers_share_reaches_the_caller(monkeypatch):
 def test_an_error_in_the_callers_share_stops_every_worker(monkeypatch):
     monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")
     two_cpus(monkeypatch)
-    parent, bounds = os.getpid(), prelie.degree_bounds
+    parent, bounds_at = os.getpid(), prelie.degree_bounds.at
 
-    def degree_bounds(tree, i, inserted):
+    def failing_at(tree, i, m):  # the sweep builds the bounds stage once per (T, i, m)
         if os.getpid() == parent:
             raise TreeError("bounds failed in the caller")
-        return bounds(tree, i, inserted)
+        return bounds_at(tree, i, m)
 
-    monkeypatch.setattr(prelie, "degree_bounds", degree_bounds)
+    monkeypatch.setattr(prelie.degree_bounds, "at", failing_at)
     with pytest.raises(TreeError, match="bounds failed in the caller"):
         check_extremal_terms(4)
     assert_no_child_left()
