@@ -32,6 +32,12 @@ from .sweep import _sweep
 GraftMap = Mapping[int, int]
 
 
+def _wrong_arity(ins: tuple[int, ...], m: int) -> TreeError:
+    # the error of a stage applied to the parent tuple of an inserted tree of arity other than m
+    tree = LabelledRootedTree._from_par(ins)
+    return TreeError(f"inserted tree {tree} has arity {tree.n}, expected {m}")
+
+
 def _graft_kernel(par: tuple[int, ...], i: int, m: int):
     """T's part of T o_i S, for every S of arity m.
 
@@ -58,8 +64,7 @@ def _graft_kernel(par: tuple[int, ...], i: int, m: int):
 
     def splice(ins: tuple[int, ...]) -> tuple[int, ...]:
         if len(ins) != m:
-            tree = LabelledRootedTree._from_par(ins)
-            raise TreeError(f"inserted tree {tree} has arity {tree.n}, expected {m}")
+            raise _wrong_arity(ins, m)
         return tuple([q + d if q else hook for q in ins])
 
     return children, ends, splice
@@ -216,11 +221,13 @@ def _pl_at(a: TreeSum, i: int, m: int):
     # compose_pl_linear staged: per term of a, one kernel and T's part for every graft map
     _position(i, _expect(a, TreeSum).arity)
     _arity(m, 1, "the inserted tree has arity at least 1")  # a zero sum builds no kernel to check it
-    arity, outer = a.arity + m - 1, []
+    arity, groups = a.arity + m - 1, {}
     for t, ct in a._terms.items():
         children, ends, splice = _graft_kernel(t, i, m)
         maps = itertools.product(range(1, m + 1), repeat=len(children))
-        outer.append((list(map(ends, maps)), splice, ct))
+        # terms with one parent of i hang S's root on one vertex, so they share S's spliced part
+        group = groups.setdefault((t[i - 1], ct), (splice, []))
+        group[1].extend(map(ends, maps))
 
     def at(b: TreeSum) -> TreeSum:
         if _expect(b, TreeSum).arity != m:
@@ -229,11 +236,10 @@ def _pl_at(a: TreeSum, i: int, m: int):
         # T o_i S with a graft map determines T, S and the map, so no two terms meet
         # and every coefficient is a product of nonzero ints: nothing to merge
         terms = out._terms
-        for pairs, splice, ct in outer:
+        for (_, ct), (splice, pairs) in groups.items():
             for s, cs in b._terms.items():
                 mid = splice(s)
-                grafts = [head + mid + tail for head, tail in pairs]
-                terms.update(zip(grafts, itertools.repeat(ct * cs)))
+                terms.update(dict.fromkeys([head + mid + tail for head, tail in pairs], ct * cs))
         return out
 
     return at
@@ -244,48 +250,51 @@ def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     return _pl_at(a, i, _expect(b, TreeSum).arity)(b)
 
 
-def _one_map_at(tree: LabelledRootedTree, i: int, m: int, below: int, above: int):
-    # a one-map composition staged: i's children below i regraft onto below, the others onto above
-    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+def _one_map_at(par: tuple[int, ...], i: int, m: int, below: int, above: int):
+    # a one-map composition staged on tuples: i's children below i onto below, the rest onto above
+    children, ends, splice = _graft_kernel(par, i, m)
     head, tail = ends([below if k < i else above for k in children])
+    return lambda ins: head + splice(ins) + tail
 
-    def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
-        return LabelledRootedTree._from_par(head + splice(_standard(inserted)) + tail)
 
-    return at
+def _applied(stage, tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree):
+    # a tuple stage applied once to checked trees, S checked first
+    ins = _standard(inserted)
+    return stage(_standard(tree), i, len(ins))(ins)
 
 
 def min_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-minimal term of the composition (graft map f_min_map)."""
-    return min_term.at(tree, i, len(_standard(inserted)))(inserted)
+    return LabelledRootedTree._from_par(_applied(min_term.at, tree, i, inserted))
 
 
 def max_term(
     tree: LabelledRootedTree, i: int, inserted: LabelledRootedTree
 ) -> LabelledRootedTree:
     """The unique degree-maximal term of the composition (graft map f_max_map)."""
-    return max_term.at(tree, i, len(_standard(inserted)))(inserted)
+    return LabelledRootedTree._from_par(_applied(max_term.at, tree, i, inserted))
 
 
 compose_pl_linear.at = _pl_at
-min_term.at = lambda tree, i, m: _one_map_at(tree, i, m, 1, m)
-max_term.at = lambda tree, i, m: _one_map_at(tree, i, m, m, 1)
+min_term.at = lambda par, i, m: _one_map_at(par, i, m, 1, m)
+max_term.at = lambda par, i, m: _one_map_at(par, i, m, m, 1)
 
 
-def _bounds_at(tree: LabelledRootedTree, i: int, m: int):
-    # degree_bounds staged: T's share of lo, the spread hi - lo and epsilon per root of S, once
-    _position(i, len(_standard(tree)))
+def _bounds_at(par: tuple[int, ...], i: int, m: int):
+    # degree_bounds staged on tuples: T's share of lo, the spread hi - lo and epsilon per root, once
+    _position(i, len(par))
     _arity(m, 1, "the inserted tree has arity at least 1")
+    tree = LabelledRootedTree._from_par(par)
     base = degree(tree) + gap(tree, i) * (m - 1)
     spread = len(tree.children(i)) * (m - 1)
     eps = [epsilon(tree, i, m, r) for r in range(1, m + 1)]
 
-    def at(inserted: LabelledRootedTree) -> tuple[int, int]:
-        if len(_standard(inserted)) != m:
-            raise TreeError(f"inserted tree {inserted} has arity {inserted.n}, expected {m}")
-        lo = base + degree(inserted) + eps[inserted.root - 1]
+    def at(ins: tuple[int, ...]) -> tuple[int, int]:
+        if len(ins) != m:
+            raise _wrong_arity(ins, m)
+        lo = base + _degree(enumerate(ins, 1)) + eps[ins.index(0)]
         return lo, lo + spread
 
     return at
@@ -296,7 +305,7 @@ def degree_bounds(
 ) -> tuple[int, int]:
     """Exact lower and upper bounds for term degrees of the composition: its stage applied once."""
     _position(i, len(_standard(tree)))  # T and i are checked before S is read
-    return degree_bounds.at(tree, i, len(_standard(inserted)))(inserted)
+    return _applied(degree_bounds.at, tree, i, inserted)
 
 
 degree_bounds.at = _bounds_at
@@ -311,13 +320,13 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     """
     _arity(max_arity, 2, "max_arity must be at least 2")
     arities = range(1, max_arity + 1)
-    basis = {m: list(enumerate_trees(m)) for m in arities}
+    basis = {m: [t._par for t in enumerate_trees(m)] for m in arities}
 
     def extremal(item) -> list[str]:
-        t, i = item
+        t, i = item  # T's parent tuple; every S, term and extremal tree below is one too
         failures: list[str] = []
         for m in arities:  # the stages and T's part of every term degree once per (T, i, m)
-            children, ends, splice = _graft_kernel(t._par, i, m)
+            children, ends, splice = _graft_kernel(t, i, m)
             bounds_at = degree_bounds.at(t, i, m)
             lo_at, hi_at = min_term.at(t, i, m), max_term.at(t, i, m)
             # a term's parent tuple is head + splice(S) + tail, at positions 1.., i.. and i + m..,
@@ -332,17 +341,20 @@ def check_extremal_terms(max_arity: int) -> list[str]:
             unique = outer.count(least) == 1 and outer.count(most) == 1
             for s in basis[m]:
                 lo, hi = bounds_at(s)
-                mid = _degree(enumerate(splice(s._par), i))
+                mid = _degree(enumerate(splice(s), i))
                 ok = (
                     least + mid == lo
                     and most + mid == hi
                     and unique
-                    and degree(lo_at(s)) == lo
-                    and degree(hi_at(s)) == hi
+                    and _degree(enumerate(lo_at(s), 1)) == lo
+                    and _degree(enumerate(hi_at(s), 1)) == hi
                 )
                 if not ok:
                     degs = sorted([d + mid for d in outer])
-                    failures.append(f"T={t} i={i} S={s} bounds=({lo},{hi}) degrees={degs}")
+                    shown_t, shown_s = map(LabelledRootedTree._from_par, (t, s))
+                    failures.append(
+                        f"T={shown_t} i={i} S={shown_s} bounds=({lo},{hi}) degrees={degs}"
+                    )
         return failures
 
     items = [(t, i) for m in arities for t in basis[m] for i in range(1, m + 1)]

@@ -13,6 +13,7 @@ for the full linearized composition.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,10 @@ from .prelie import (
 )
 
 KINDS = ("max", "min", "nap", "pl")
+
+# bytes of the axiom table per composition, keys and lists included: tracemalloc at arity 4,
+# CPython 3.11, 64-bit; a pl sum grows with its arity, so beyond 4 its figure is a floor
+_ENTRY_BYTES = {"max": 145, "min": 145, "nap": 145, "pl": 853}
 
 
 def f_nap_map(
@@ -49,16 +54,15 @@ def compose_nap(
     return graft_compose(tree, i, inserted, f_nap_map(tree, i, inserted))
 
 
-def _nap_at(tree: LabelledRootedTree, i: int, m: int):
-    # compose_nap staged: T's part once for each root S may have, all of i's children onto it
-    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+def _nap_at(par: tuple[int, ...], i: int, m: int):
+    # compose_nap staged on tuples: T's part once for each root S may have, i's children onto it
+    children, ends, splice = _graft_kernel(par, i, m)
     rooted_at = [ends([r] * len(children)) for r in range(1, m + 1)]
 
-    def at(inserted: LabelledRootedTree) -> LabelledRootedTree:
-        ins = _standard(inserted)
+    def at(ins: tuple[int, ...]) -> tuple[int, ...]:
         mid = splice(ins)  # checks S's arity before its root picks T's part
         head, tail = rooted_at[ins.index(0)]
-        return LabelledRootedTree._from_par(head + mid + tail)
+        return head + mid + tail
 
     return at
 
@@ -71,6 +75,22 @@ SET_COMPOSE: dict[str, Callable] = {
     "min": compose_min,
     "nap": compose_nap,
 }
+
+
+def _check_table_size(kind: str, max_arity: int) -> None:
+    # the table holds (sum of n^n) * (sum of m^(m-1)) compositions over arities to max_arity;
+    # summed one arity at a time, so a huge max_arity is refused once a smaller one is
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    firsts = seconds = 0
+    for n in range(1, max_arity + 1):
+        firsts, seconds = firsts + n**n, seconds + n ** (n - 1)
+        need = firsts * seconds * _ENTRY_BYTES[kind]
+        if need > memory:
+            raise TreeError(
+                f"max_arity {max_arity} needs a table of at least {firsts * seconds} "
+                f"{kind} compositions, about {need / 1e9:.1f} GB, more than the "
+                f"{memory / 1e9:.1f} GB of memory here"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,8 +121,14 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         raise TreeError(f"unknown operad kind {kind!r}")
     _arity(max_arity, 2, "max_arity must be at least 2")
 
+    _check_table_size(kind, max_arity)
+
     stage = compose_pl_linear.at if kind == "pl" else SET_COMPOSE[kind].at
-    lift = TreeSum.single if kind == "pl" else lambda t: t
+    lift = TreeSum.single if kind == "pl" else _standard  # a set stage composes parent tuples
+
+    def show(x) -> str:
+        # a Violation's text: a tree is built only here; a unit law's "1" and "-" are text already
+        return str(x if kind == "pl" or type(x) is str else LabelledRootedTree._from_par(x))
 
     arities = range(1, max_arity + 1)
     basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}
@@ -115,9 +141,7 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
 
     def check(found, axiom, a, b, c, i, j, lhs, rhs) -> None:
         if lhs != rhs:
-            found.append(
-                Violation(axiom, str(a), str(b), str(c), i, j, str(lhs), str(rhs))
-            )
+            found.append(Violation(axiom, show(a), show(b), show(c), i, j, show(lhs), show(rhs)))
 
     def associativity(item) -> list[Violation]:
         # sequential and parallel, for one a and every b of arity m and c of arity ell

@@ -20,8 +20,13 @@ def standard_trees(draw, min_n=1, max_n=7):
 
 
 def with_plain_stage(compose):
-    """compose with the plain call as its stage, as every sweep takes a composition."""
-    compose.at = lambda x, i, m: lambda y: compose(x, i, y)
+    """compose with the plain call as its stage, as every sweep takes a composition.
+
+    A set stage takes and returns parent tuples, so the stage builds the
+    trees for the plain call and hands back the result's parent tuple.
+    """
+    tree = LabelledRootedTree._from_par
+    compose.at = lambda x, i, m: lambda y: compose(tree(x), i, tree(y))._par
     return compose
 
 

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,18 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["max", "pl"])
+    def test_an_axiom_table_beyond_memory_is_refused_at_once(self, capsys, kind):
+        # arity 7 needs about 1.1e11 compositions, far beyond the memory of any host
+        start = time.perf_counter()
+        code = main(["verify", "axioms", "--operad", kind, "--max-arity", "7"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: max_arity 7 needs a table of at least ")
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 200
+        assert elapsed < 1
 
     def test_usage_error(self, capsys):
         assert main(["verify", "axioms", "--operad", "bogus"]) == 2

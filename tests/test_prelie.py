@@ -282,6 +282,11 @@ def mixed_sign_sum(n):
     return TreeSum(n, {t: steps[k % 6] for k, t in enumerate(enumerate_trees(n))})
 
 
+def every_tree_once(n):
+    """Every tree of arity n, each with coefficient 1."""
+    return TreeSum(n, dict.fromkeys(enumerate_trees(n), 1))
+
+
 class TestLinearCancellation:
     """compose_pl_linear on mixed-sign sums, every arity pair up to 3.
 
@@ -292,8 +297,12 @@ class TestLinearCancellation:
     """
 
     @pytest.mark.parametrize("n,m", list(itertools.product(range(1, 4), repeat=2)))
-    def test_matches_bilinear_expansion(self, n, m):
-        a, b = mixed_sign_sum(n), mixed_sign_sum(m)
+    @pytest.mark.parametrize("coefficients", ["mixed", "ones"])
+    def test_matches_bilinear_expansion(self, n, m, coefficients):
+        # with every coefficient 1, many terms of a share one (parent of i, coefficient)
+        # group of the staged pl composition, and so one spliced S
+        a = mixed_sign_sum(n) if coefficients == "mixed" else every_tree_once(n)
+        b = mixed_sign_sum(m)
         t0, c0 = a.terms()[0]
         rest = a - c0 * TreeSum.single(t0)
         for i in range(1, n + 1):
@@ -439,32 +448,38 @@ class TestDegreeBoundsOracle:
         cases = 0
         for n, m in itertools.product(basis, repeat=2):
             for t, i in itertools.product(basis[n], range(1, n + 1)):
-                at = degree_bounds.at(t, i, m)
+                at = degree_bounds.at(t._par, i, m)
                 for s in basis[m]:
                     lo = degree(t) + degree(s) + gap(t, i) * (m - 1) + epsilon(t, i, m, s.root)
                     expected = (lo, lo + len(t.children(i)) * (m - 1))
-                    assert at(s) == degree_bounds(t, i, s) == expected, (str(t), i, str(s))
+                    assert at(s._par) == degree_bounds(t, i, s) == expected, (str(t), i, str(s))
                     cases += 1
         assert cases == 21888
 
     @pytest.mark.parametrize("i", [0, 4, "2", 2.0, True])
     def test_the_stage_rejects_a_position_when_built(self, i):
         with pytest.raises(TreeError, match="out of range for arity 3"):
-            degree_bounds.at(FORK, i, 2)
+            degree_bounds.at(FORK._par, i, 2)
 
     @pytest.mark.parametrize("m", ["2", 2.0, True, 0])
     def test_the_stage_rejects_an_arity_that_is_not_a_count_when_built(self, m):
         with pytest.raises(TreeError, match="must be an integer|arity at least 1"):
-            degree_bounds.at(FORK, 2, m)
+            degree_bounds.at(FORK._par, 2, m)
 
     def test_the_stage_rejects_an_inserted_tree_of_another_arity_when_applied(self):
-        at = degree_bounds.at(FORK, 2, 2)
+        at = degree_bounds.at(FORK._par, 2, 2)
         for s in (FORK, parse_tree("1")):
             with pytest.raises(TreeError, match=f"has arity {s.n}, expected 2"):
-                at(s)
+                at(s._par)
+        assert at(CHAIN._par) == (3, 5)
+
+    @pytest.mark.parametrize("x", ["1(2)", (0, 1), None], ids=["text", "parent-tuple", "none"])
+    def test_the_plain_call_rejects_an_operand_that_is_not_a_tree(self, x):
+        # the stage trusts its tuples; the type checks live on the plain call
         with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
-            at("1(2)")
-        assert at(CHAIN) == (3, 5)
+            degree_bounds(FORK, 2, x)
+        with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
+            degree_bounds(x, 1, FORK)
 
 
 class TestPreLieRelation:

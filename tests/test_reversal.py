@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from operad_forge.trees import degree, enumerate_trees
+from operad_forge.trees import LabelledRootedTree, degree, enumerate_trees
 from operad_forge.prelie import compose_pl, degree_bounds
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
 from operad_forge.freeness import indecomposables, is_indecomposable
@@ -45,11 +45,13 @@ def test_reversal_commutes_with_each_composition_and_its_stage(kind):
     for n, m in itertools.product(range(1, 5), repeat=2):
         for t, i in ((t, i) for t in BASIS[n] for i in range(1, n + 1)):
             rt, ri = REVERSED[t], n + 1 - i
-            at, mirrored_at = compose.at(t, i, m), compose.at(rt, ri, m)
+            at, mirrored_at = compose.at(t._par, i, m), compose.at(rt._par, ri, m)
             for s in BASIS[m]:
                 image = compose(rt, ri, REVERSED[s])
                 assert reversed_tree(compose(t, i, s)) == image, (kind, str(t), i, str(s))
-                assert reversed_tree(at(s)) == mirrored_at(REVERSED[s]) == image
+                staged = LabelledRootedTree._from_par(at(s._par))
+                assert reversed_tree(staged) == image
+                assert mirrored_at(REVERSED[s]._par) == image._par
                 checked += 1
     assert checked == len(triples(4)) == 21888
 
@@ -88,7 +90,8 @@ def test_reversal_commutes_with_composition_on_larger_trees(t, s, data):
     rt, ri, rs = reversed_tree(t), t.n + 1 - i, reversed_tree(s)
     for compose in SET.values():
         assert reversed_tree(compose(t, i, s)) == compose(rt, ri, rs)
-        assert reversed_tree(compose.at(t, i, s.n)(s)) == compose.at(rt, ri, s.n)(rs)
+        staged = LabelledRootedTree._from_par(compose.at(t._par, i, s.n)(s._par))
+        assert reversed_tree(staged)._par == compose.at(rt._par, ri, s.n)(rs._par)
     assert degree_bounds(rt, ri, rs) == degree_bounds(t, i, s)
     if t.n <= 6 and s.n <= 3:  # compose_pl has up to s.n ** (t.n - 1) terms
         assert compose_pl(t, i, s).map_trees(reversed_tree) == compose_pl(rt, ri, rs)

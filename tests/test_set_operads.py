@@ -20,6 +20,7 @@ from operad_forge.prelie import (
     f_min_map,
     graft_compose,
 )
+from operad_forge import set_operads
 from operad_forge.set_operads import (
     SET_COMPOSE,
     Violation,
@@ -115,9 +116,10 @@ class TestAxioms:
     def test_linearized_composition_axioms(self):
         assert check_axioms("pl", 3) == []
 
-    @pytest.mark.exhaustive
     @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["min", "nap", "pl"])
+    @pytest.mark.parametrize(
+        "kind", ["min", "nap", pytest.param("pl", marks=pytest.mark.exhaustive)]
+    )
     def test_axioms_arity_four(self, monkeypatch, kind):
         monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
         assert check_axioms(kind, 4) == []
@@ -191,6 +193,7 @@ def test_violations_are_reported_in_loop_order(monkeypatch, threads):
 
 
 # ---- staged compositions: at(x, i, m) -> (y -> x o_i y) --------------------------
+# a set stage takes and returns parent tuples; the pl stage takes and returns TreeSums
 
 STAGED = {"max": compose_max, "min": compose_min, "nap": compose_nap}
 
@@ -204,9 +207,13 @@ class TestStagedForms:
         for n, m in itertools.product(range(1, 5), range(1, 4)):
             for t in enumerate_trees(n):
                 for i in range(1, n + 1):
-                    at = compose.at(t, i, m)
+                    at = compose.at(t._par, i, m)
                     for s in enumerate_trees(m):
-                        assert at(s) == compose(t, i, s), (kind, str(t), i, str(s))
+                        out = at(s._par)
+                        assert type(out) is tuple, (kind, str(t), i, str(s))
+                        assert LabelledRootedTree._from_par(out) == compose(t, i, s), (
+                            kind, str(t), i, str(s)
+                        )
                         triples += 1
         assert triples == 3456
 
@@ -235,7 +242,7 @@ class TestStagedForms:
     @pytest.mark.parametrize("i", [0, 4, -1, "2", 2.0, True])
     def test_a_stage_rejects_a_position_out_of_range(self, kind, i):
         with pytest.raises(TreeError, match="out of range for arity 3"):
-            STAGED[kind].at(FORK, i, 2)
+            STAGED[kind].at(FORK._par, i, 2)
 
     @pytest.mark.parametrize("a", [TreeSum(3), TreeSum.single(FORK)], ids=["zero-sum", "one-term"])
     def test_a_linear_stage_rejects_a_position_out_of_range(self, a):
@@ -246,7 +253,7 @@ class TestStagedForms:
     @pytest.mark.parametrize("m", ["2", None, 2.0, True, 0, -1])
     def test_a_stage_rejects_an_operand_arity_that_is_not_a_count(self, kind, m):
         with pytest.raises(TreeError, match="must be an integer|arity at least 1"):
-            STAGED[kind].at(FORK, 2, m)
+            STAGED[kind].at(FORK._par, 2, m)
 
     @pytest.mark.parametrize("a", [TreeSum(3), TreeSum.single(FORK)], ids=["zero-sum", "one-term"])
     @pytest.mark.parametrize("m", ["2", None, 2.0, True, 0, -1])
@@ -256,13 +263,20 @@ class TestStagedForms:
 
     @pytest.mark.parametrize("kind", sorted(STAGED))
     def test_a_stage_rejects_an_operand_of_another_arity(self, kind):
-        at = STAGED[kind].at(FORK, 2, 2)
+        at = STAGED[kind].at(FORK._par, 2, 2)
         # 3(1,2) is rooted above 2, where no T-part of the nap stage lies
         for s in (FORK, parse_tree("3(1,2)")):
             with pytest.raises(TreeError, match="has arity 3, expected 2"):
-                at(s)
+                at(s._par)
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    @pytest.mark.parametrize("x", ["1(2)", (0, 1), None], ids=["text", "parent-tuple", "none"])
+    def test_a_plain_call_rejects_an_operand_that_is_not_a_tree(self, kind, x):
+        # the stages trust their tuples; the type checks live on the plain calls
         with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
-            at("1(2)")
+            STAGED[kind](FORK, 2, x)
+        with pytest.raises(TreeError, match="is not a LabelledRootedTree"):
+            STAGED[kind](x, 1, FORK)
 
     def test_a_linear_stage_rejects_an_operand_of_another_arity(self):
         at = compose_pl_linear.at(TreeSum.single(FORK), 2, 2)
@@ -279,15 +293,16 @@ class TestStagedForms:
 stages = []  # the (T, i, m) of every stage this process built
 
 
-def clamp_at(tree, i, m):
+def clamp_at(par, i, m):
     """clamp_compose staged: its graft map is fixed once the arity of the operand is."""
+    tree = LabelledRootedTree._from_par(par)
     f = {k: min(k, m) for k in tree.children(i)}
     stages.append((str(tree), i, m))
-    return lambda inserted: graft_compose(tree, i, inserted, f)
+    return lambda ins: graft_compose(tree, i, LabelledRootedTree._from_par(ins), f)._par
 
 
 def staged_clamp(tree, i, inserted):
-    return clamp_at(tree, i, inserted.n)(inserted)
+    return LabelledRootedTree._from_par(clamp_at(tree._par, i, inserted.n)(inserted._par))
 
 
 staged_clamp.at = clamp_at
@@ -308,15 +323,16 @@ def test_violations_through_a_stage_of_its_own(monkeypatch, threads):
     assert found == untabulated_violations(clamp_compose, 3)
 
 
-def _kernel_clamp_at(tree, i, m):
+def _kernel_clamp_at(par, i, m):
     """clamp_compose staged on the kernel: T's part built once per (T, i, m)."""
-    children, ends, splice = _graft_kernel(_standard(tree), i, m)
+    children, ends, splice = _graft_kernel(par, i, m)
     head, tail = ends([min(k, m) for k in children])
-    return lambda inserted: LabelledRootedTree._from_par(head + splice(_standard(inserted)) + tail)
+    return lambda ins: head + splice(ins) + tail
 
 
 def kernel_clamp(tree, i, inserted):
-    return _kernel_clamp_at(tree, i, inserted.n)(inserted)
+    ins = _standard(inserted)
+    return LabelledRootedTree._from_par(_kernel_clamp_at(_standard(tree), i, len(ins))(ins))
 
 
 kernel_clamp.at = _kernel_clamp_at
@@ -334,6 +350,20 @@ def test_violations_through_stages_that_hold_their_operand(monkeypatch, threads)
     assert found == untabulated_violations(clamp_compose, 3)
 
 
+@pytest.mark.parametrize("kind", ["max", "pl"])
+def test_the_axiom_table_is_sized_before_it_is_built(monkeypatch, kind):
+    # arity 3 tabulates 384 compositions: refused one byte short of their estimate, else run
+    need = 384 * set_operads._ENTRY_BYTES[kind]
+    for memory, refused in ((need - 1, True), (need, False)):
+        sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        if refused:
+            with pytest.raises(TreeError, match=f"at least 384 {kind} compositions"):
+                check_axioms(kind, 3)
+        else:
+            assert check_axioms(kind, 3) == []
+
+
 def test_axiom_sweep_builds_each_stage_once_per_first_tree(monkeypatch):
     monkeypatch.setenv("OPERAD_FORGE_THREADS", "1")
     built = []
@@ -345,6 +375,7 @@ def test_axiom_sweep_builds_each_stage_once_per_first_tree(monkeypatch):
 
     monkeypatch.setattr(compose_max, "at", counting_at)
     assert check_axioms("max", 3) == []
+    assert {type(tree) for tree, _, _ in built} == {tuple}  # stages take parent tuples
     # at arity 3: 384 for the basis table, 4 116 left stages (a o_i b) o_k x,
     # 288 for a o_i x and 1 044 parallel right sides (a o_j c) o_{i+ell-1} x
     assert len(built) <= 384 + 4116 + 288 + 1044  # 5 832; one item per (a, b) built 9 828

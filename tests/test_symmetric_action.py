@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from operad_forge.trees import act, enumerate_trees
+from operad_forge.trees import LabelledRootedTree, act, enumerate_trees
 from operad_forge.prelie import TreeSum, compose_pl, compose_pl_linear
 from operad_forge.set_operads import compose_max, compose_min, compose_nap
 
@@ -57,7 +57,9 @@ def composed(kind, staged, t, i, s):
             return compose_pl_linear.at(TreeSum.single(t), i, s.n)(TreeSum.single(s))
         return compose_pl(t, i, s)
     compose = SET[kind]
-    return compose.at(t, i, s.n)(s) if staged else compose(t, i, s)
+    if staged:  # a set stage takes and returns parent tuples
+        return LabelledRootedTree._from_par(compose.at(t._par, i, s.n)(s._par))
+    return compose(t, i, s)
 
 
 def acted(perm, x):
