@@ -190,7 +190,8 @@ def factorize(tree: LabelledRootedTree) -> OperationTree:
 
 def indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
     """All indecomposable trees of arity n, sorted by canonical string."""
-    return _indecomposables(_arity(n, 2, "generators have arity at least 2"))
+    pars = _indecomposables(_arity(n, 2, "generators have arity at least 2"))
+    return tuple(sorted(map(LabelledRootedTree._from_par, pars), key=str))
 
 
 def _free_generators(par: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -223,16 +224,14 @@ def _free_generators(par: list[int]) -> tuple[tuple[int, ...], ...]:
             if len(bad) == 1:
                 (u, v), = bad  # keep the roots on u's side
                 alive &= below[u] if par[u - 1] == v else ~below[v]
-    return tuple(_reroot(par, r)._par for r in range(1, n + 1) if alive >> r & 1)
+    return tuple(_reroot(par, r) for r in range(1, n + 1) if alive >> r & 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _indecomposables(n: int) -> tuple[LabelledRootedTree, ...]:
-    # one Prüfer rank per sweep item; a worker sends back parent tuples,
-    # which cross the pipe lighter than trees
+def _indecomposables(n: int) -> tuple[tuple[int, ...], ...]:
+    # the generators' parent tuples by Prüfer rank, then root; one sweep item per rank
     shares = _sweep(range(n ** (n - 2)), lambda rank: _free_generators(_free_tree(rank, n)))
-    found = [LabelledRootedTree._from_par(par) for share in shares for par in share]
-    return tuple(sorted(found, key=str))
+    return tuple(itertools.chain.from_iterable(shares))
 
 
 # lru_cache hashes n before the body runs, so the cache sits on a helper behind the check
@@ -241,7 +240,7 @@ indecomposables.cache_info = _indecomposables.cache_info
 
 
 def count_indecomposables(n: int) -> int:
-    return len(indecomposables(n))
+    return len(_indecomposables(_arity(n, 2, "generators have arity at least 2")))
 
 
 def operation_trees(n: int) -> list[OperationTree]:

@@ -207,8 +207,8 @@ def _expect(obj, cls=LabelledRootedTree, error=TreeError):
 
 
 def _shown(obj) -> str:
-    # an argument echoed in an error message: its repr, clipped to 60 characters
-    text = repr(obj)
+    # an argument echoed in an error message: its ASCII repr (a byte a character), clipped to 60
+    text = ascii(obj)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
@@ -278,13 +278,13 @@ def _prufer_parents(seq: Sequence[int], n: int) -> list[int]:
     return par
 
 
-def _reroot(par: list[int], root: int) -> LabelledRootedTree:
-    # reverse the one path from root up to the current root
+def _reroot(par: list[int], root: int) -> tuple[int, ...]:
+    # the parent tuple of par rooted at root: reverse the one path from root up to the old root
     out = par[:]
     v, p = root, 0
     while v:
         out[v - 1], v, p = p, par[v - 1], v
-    return LabelledRootedTree._from_par(tuple(out))
+    return tuple(out)
 
 
 def _free_tree(rank: int, n: int) -> list[int]:
@@ -300,7 +300,7 @@ def _free_tree(rank: int, n: int) -> list[int]:
 def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:
     # that free tree rooted at 1..n in turn
     par = _free_tree(rank, n)
-    return [_reroot(par, root) for root in range(1, n + 1)]
+    return [LabelledRootedTree._from_par(_reroot(par, root)) for root in range(1, n + 1)]
 
 
 def _arity(n: int, least: int | None = None, message: str = "", error=TreeError) -> int:
@@ -398,7 +398,8 @@ def order_relabel(
 def act(sigma: Mapping[int, int], tree: LabelledRootedTree) -> LabelledRootedTree:
     """Permute the labels of a standard tree by sigma."""
     labels = list(range(1, len(_standard(tree)) + 1))
-    if sorted(_expect(sigma, Mapping)) != labels or sorted(sigma.values()) != labels:
+    ints = all(type(v) is type(w) is int for v, w in _expect(sigma, Mapping).items())
+    if not ints or sorted(sigma) != labels or sorted(sigma.values()) != labels:
         raise TreeError("sigma is not a permutation of the label set")
     return _relabel(tree, sigma)
 

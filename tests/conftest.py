@@ -16,7 +16,7 @@ def standard_trees(draw, min_n=1, max_n=7):
         )
     )
     root = draw(st.integers(min_value=1, max_value=n))
-    return _reroot(_prufer_parents(seq, n), root)
+    return LabelledRootedTree._from_par(_reroot(_prufer_parents(seq, n), root))
 
 
 def with_plain_stage(compose):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -7,14 +9,17 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import operad_forge
 from operad_forge import cli, freeness, prelie
 from operad_forge.cli import main
-from operad_forge.set_operads import SET_COMPOSE
+from operad_forge.set_operads import KINDS, SET_COMPOSE
 from operad_forge.trees import tree_from_json
 
+from conftest import standard_trees
 from test_set_operads import clamp_compose
 
 
@@ -394,3 +399,53 @@ def test_failed_verification_stdout_on_two_workers(capsys, monkeypatch, check):
     put_fault(monkeypatch)
     code, out = run(capsys, *command.split())
     assert (code, sha256(out)) == (1, digest)
+
+
+# Tree texts for the exit-code contract: canonical trees, short text from the
+# tree alphabet with a few non-ASCII and control characters, and long text
+# that is wide in UTF-8; none starts with "-", which would read as an option
+tree_texts = st.one_of(
+    standard_trees(max_n=5).map(str),
+    st.text("0123456789(), é€𝟙٣\n\t", max_size=20),
+    st.text("€𝟙(", min_size=60, max_size=100),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that the CLI grammar accepts, with small sizes."""
+    tree, other = draw(tree_texts), draw(tree_texts)
+    n, i, order, max_arity = (
+        str(draw(st.integers(lo, hi))) for lo, hi in [(-2, 5), (-1, 7), (-1, 40), (-1, 3)]
+    )
+    kind, flag = draw(st.sampled_from(KINDS)), draw(st.booleans())
+    return draw(st.sampled_from([
+        ["enumerate", "-n", n, *["--json"] * flag],
+        ["degree", tree],
+        ["factorize", tree],
+        ["compose", "--operad", kind, "-i", i, tree, other, *["--json"] * flag],
+        ["minmax", "-i", i, tree, other],
+        ["indecomposables", "-n", n, *["--count"] * flag],
+        ["hilbert", "--order", order],
+        ["verify", "axioms", "--operad", kind, "--max-arity", max_arity],
+        ["verify", "freeness", "-n", n],
+        ["verify", "minmax", "--max-arity", max_arity],
+        ["verify", "prelie"],
+        ["verify", "collisions", "--operad", draw(st.sampled_from(["min", "nap"])), "-n", n],
+    ]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_exit_contract(argv):
+    """Exit 0, 1 or 2; stderr empty on 0 and 1, one short `error: ` line on 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) <= 200
+    else:
+        assert err == ""

@@ -32,6 +32,7 @@ from operad_forge.freeness import (
     split,
     verify_freeness,
 )
+from operad_forge import freeness
 from operad_forge.series import generator_series
 from operad_forge.sweep import _sweep
 
@@ -131,9 +132,21 @@ class TestIndecomposable:
     def test_generator_counts(self, n, count):
         assert count_indecomposables(n) == count
 
-    @pytest.mark.slow
-    def test_generator_count_arity_six(self):
-        assert count_indecomposables(6) == 1994
+    def test_generator_count_arity_six(self, monkeypatch):
+        # counted from a cold cache with no tree built, rendered or sorted
+        def refused(*args, **kwargs):
+            raise AssertionError("counting the generators built, rendered or sorted")
+
+        indecomposables.cache_clear()
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(LabelledRootedTree, "__str__", refused)
+                mp.setattr(LabelledRootedTree, "_from_par", refused)
+                mp.setattr(freeness, "sorted", refused, raising=False)
+                assert count_indecomposables(6) == 1994
+        finally:
+            indecomposables.cache_clear()
+        assert [str(t) for t in indecomposables(3)] == ["2(1,3)"]  # the patches are gone
 
     @pytest.mark.slow
     def test_generator_count_arity_eight_is_the_series_coefficient(self, monkeypatch):
@@ -410,6 +423,14 @@ class TestFreeness:
     def test_bijection_arity_seven(self, monkeypatch):
         monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
         assert verify_freeness(7) == (True, 117649, 117649, 117649)
+
+    @pytest.mark.exhaustive
+    def test_bijection_arity_eight(self, monkeypatch):
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
+        try:
+            assert verify_freeness(8) == (True, 2097152, 2097152, 2097152)
+        finally:
+            indecomposables.cache_clear()  # the 630 320 arity-8 generators are not kept
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_arity_below_two(self, n):

@@ -137,7 +137,8 @@ def test_prufer_ranks_follow_the_product_order(n):
     sequences = itertools.product(range(1, n + 1), repeat=n - 2)
     for rank, seq in enumerate(sequences):
         par = _prufer_parents(seq, n)
-        assert _rootings(rank, n) == [_reroot(par, root) for root in range(1, n + 1)]
+        rootings = [t._par for t in _rootings(rank, n)]
+        assert rootings == [_reroot(par, root) for root in range(1, n + 1)]
     assert rank == n ** (n - 2) - 1
 
 

@@ -342,6 +342,10 @@ class TestRelabelAndAction:
     def test_act_rejects_bad_arguments(self):
         with pytest.raises(TreeError, match="not a permutation"):
             act({1: 1, 2: 1}, parse_tree("1(2)"))
+        # a label of another type, and a bool or a float that equals a label
+        for sigma in [{1: 1, "a": 2}, {1: "a", 2: 1}, {True: 2, 2: 1}, {1.0: 2, 2: 1}]:
+            with pytest.raises(TreeError, match="sigma is not a permutation of the label set"):
+                act(sigma, parse_tree("1(2)"))
         with pytest.raises(TreeError, match="defined on standard trees"):
             act({2: 3, 3: 2}, LabelledRootedTree({2: None, 3: 2}))
 
