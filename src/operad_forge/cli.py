@@ -136,13 +136,8 @@ def _run(args) -> int:
         if args.operad == "pl":
             result = compose_pl(outer, args.i, inner)
             if args.json:
-                payload = {
-                    "arity": result.arity,
-                    "terms": [
-                        {"coeff": c, "tree": str(t)} for t, c in result.terms()
-                    ],
-                }
-                out.write(json.dumps(payload) + "\n")
+                terms = [{"coeff": c, "tree": str(t)} for t, c in result.terms()]
+                out.write(json.dumps({"arity": result.arity, "terms": terms}) + "\n")
             else:
                 out.write(str(result) + "\n")
         else:

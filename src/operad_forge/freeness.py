@@ -26,7 +26,7 @@ from .trees import (
     _standard,
     restrict,
 )
-from .sweep import _sweep
+from .sweep import _ENTRY_BYTES, _check_table_size, _sweep
 from .set_operads import SET_COMPOSE, compose_max
 
 
@@ -101,7 +101,7 @@ def split(
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class OperationTree:
     """A planar word in the free operad: a generator with one slot per input.
 
@@ -251,11 +251,12 @@ def operation_trees(n: int) -> list[OperationTree]:
     """
     if _arity(n) < 2:
         return []
+    generators = {k: indecomposables(k) for k in range(2, n + 1)}  # each arity's list read once
     levels: list[list[Optional[OperationTree]]] = [[], [None]]  # by total arity
     for total in range(2, n + 1):
         words = []
         for k in range(2, total + 1):
-            for g in indecomposables(k):
+            for g in generators[k]:
                 # lexicographic cut points give lexicographic slot arities
                 for cuts in itertools.combinations(range(1, total), k - 1):
                     ends = (0, *cuts, total)
@@ -276,7 +277,11 @@ class FreenessReport(NamedTuple):
 
 
 def _images(n: int, compose: Callable) -> tuple[list[OperationTree], list]:
-    # every word of arity n and its image's parent tuple (lighter to unpickle than a tree)
+    # every word of arity n and its image's parent tuple (lighter to unpickle than a tree);
+    # the k^(k-1) words of each arity k = 2..n are built
+    sizes = itertools.accumulate(k ** (k - 1) for k in range(2, n + 1))
+    _check_table_size(sizes, _ENTRY_BYTES["word"],
+                      lambda size: f"arity {n} needs a list of at least {size} words")
     words = operation_trees(n)
     return words, _sweep(words, lambda word: _standard(evaluate(word, compose)))
 

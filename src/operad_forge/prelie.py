@@ -27,7 +27,7 @@ from .trees import (
     gap,
     parse_tree,
 )
-from .sweep import _sweep
+from .sweep import _ENTRY_BYTES, _check_table_size, _sweep
 
 GraftMap = Mapping[int, int]
 
@@ -93,9 +93,7 @@ def graft_compose(
     return LabelledRootedTree._from_par(head + splice(ins) + tail)
 
 
-def graft_maps(
-    tree: LabelledRootedTree, i: int, m: int
-) -> Iterator[dict[int, int]]:
+def graft_maps(tree: LabelledRootedTree, i: int, m: int) -> Iterator[dict[int, int]]:
     """All maps from the children of i into [m], lexicographic by child label."""
     children = _expect(tree).children(i)
     _arity(m, 1, "the inserted tree has arity at least 1")
@@ -247,7 +245,12 @@ def _pl_at(a: TreeSum, i: int, m: int):
 
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums: its stage applied once."""
-    return _pl_at(a, i, _expect(b, TreeSum).arity)(b)
+    m = _expect(b, TreeSum).arity
+    # each term t of a and s of b gives one term per map of i's children into [m]
+    terms = len(b) * sum([m ** t.count(i) for t in _expect(a, TreeSum)._terms])
+    _check_table_size([terms], _ENTRY_BYTES["term"],
+                      lambda size: f"the composition has {size} terms")
+    return _pl_at(a, i, m)(b)
 
 
 def _one_map_at(par: tuple[int, ...], i: int, m: int, below: int, above: int):

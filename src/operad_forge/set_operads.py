@@ -13,12 +13,11 @@ for the full linearized composition.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 from .trees import LabelledRootedTree, TreeError, _arity, _position, _standard, enumerate_trees
-from .sweep import _sweep
+from .sweep import _ENTRY_BYTES, _check_table_size, _sweep
 from .prelie import (
     TreeSum,
     _graft_kernel,
@@ -29,10 +28,6 @@ from .prelie import (
 )
 
 KINDS = ("max", "min", "nap", "pl")
-
-# bytes of the axiom table per composition, keys and lists included: tracemalloc at arity 4,
-# CPython 3.11, 64-bit; a pl sum grows with its arity, so beyond 4 its figure is a floor
-_ENTRY_BYTES = {"max": 145, "min": 145, "nap": 145, "pl": 853}
 
 
 def f_nap_map(
@@ -77,22 +72,6 @@ SET_COMPOSE: dict[str, Callable] = {
 }
 
 
-def _check_table_size(kind: str, max_arity: int) -> None:
-    # the table holds (sum of n^n) * (sum of m^(m-1)) compositions over arities to max_arity;
-    # summed one arity at a time, so a huge max_arity is refused once a smaller one is
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    firsts = seconds = 0
-    for n in range(1, max_arity + 1):
-        firsts, seconds = firsts + n**n, seconds + n ** (n - 1)
-        need = firsts * seconds * _ENTRY_BYTES[kind]
-        if need > memory:
-            raise TreeError(
-                f"max_arity {max_arity} needs a table of at least {firsts * seconds} "
-                f"{kind} compositions, about {need / 1e9:.1f} GB, more than the "
-                f"{memory / 1e9:.1f} GB of memory here"
-            )
-
-
 @dataclass(frozen=True)
 class Violation:
     axiom: str  # seq | par | unitL | unitR
@@ -121,7 +100,14 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         raise TreeError(f"unknown operad kind {kind!r}")
     _arity(max_arity, 2, "max_arity must be at least 2")
 
-    _check_table_size(kind, max_arity)
+    arities = range(1, max_arity + 1)
+    # the table holds (sum of n^n) * (sum of m^(m-1)) compositions over the arities reached
+    firsts = itertools.accumulate(n**n for n in arities)
+    seconds = itertools.accumulate(n ** (n - 1) for n in arities)
+    _check_table_size(
+        (f * s for f, s in zip(firsts, seconds)), _ENTRY_BYTES[kind],
+        lambda size: f"max_arity {max_arity} needs a table of at least {size} {kind} compositions",
+    )
 
     stage = compose_pl_linear.at if kind == "pl" else SET_COMPOSE[kind].at
     lift = TreeSum.single if kind == "pl" else _standard  # a set stage composes parent tuples
@@ -130,7 +116,6 @@ def check_axioms(kind: str, max_arity: int) -> list[Violation]:
         # a Violation's text: a tree is built only here; a unit law's "1" and "-" are text already
         return str(x if kind == "pl" or type(x) is str else LabelledRootedTree._from_par(x))
 
-    arities = range(1, max_arity + 1)
     basis = {n: [lift(t) for t in enumerate_trees(n)] for n in arities}
     # every composition of two basis elements, computed once: at[x, y][i - 1]
     at = {

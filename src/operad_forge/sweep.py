@@ -1,4 +1,4 @@
-"""The one helper behind every exhaustive check: deal its items over processes.
+"""The two helpers behind every exhaustive check: size it, then deal its items over processes.
 
 ``OPERAD_FORGE_THREADS`` (default 1) is the number of worker processes,
 capped by the usable CPUs and by the item count, and 1 in a process
@@ -13,9 +13,27 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .trees import TreeError
+
+# bytes per entry, CPython 3.11, 64-bit. An axiom table's composition, by kind: tracemalloc at
+# arity 4, keys and lists included (a pl sum grows with its arity, so beyond 4 it is a floor).
+# A word of verify freeness -n 8 and a term of compose --operad pl --json at 8^7 terms: the
+# CLI's peak RSS over its count, serial.
+_ENTRY_BYTES = {"max": 145, "min": 145, "nap": 145, "pl": 853, "word": 362, "term": 680}
+
+
+def _check_table_size(sizes: Iterable[int], entry_bytes: int, what: Callable[[int], str]) -> None:
+    # the one memory rule: sizes yields a request's table size as it reaches each arity, and the
+    # first whose entries outgrow the physical memory raises before anything is built or summed
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for size in sizes:
+        if (need := size * entry_bytes) > memory:
+            raise TreeError(
+                f"{what(size)}, about {need / 1e9:.1f} GB, more than the "
+                f"{memory / 1e9:.1f} GB of memory here"
+            )
 
 
 def _workers(count: int) -> int:

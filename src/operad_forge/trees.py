@@ -247,15 +247,11 @@ def tree_from_json(text: str) -> LabelledRootedTree:
     if not isinstance(data, dict) or not {"n", "parent"} <= data.keys():
         raise TreeError('tree JSON must be an object with "n" and "parent"')
     n, parents = data["n"], data["parent"]
-    if type(n) is not int or not isinstance(parents, list) or any(
-        type(p) is not int for p in parents
-    ):
+    if type(n) is not int or not isinstance(parents, list) or set(map(type, parents)) - {int}:
         raise TreeError('"n" must be an integer and "parent" a list of integers')
     if len(parents) != n:
         raise TreeError("parent array length disagrees with n")
-    return LabelledRootedTree(
-        {v: (p if p != 0 else None) for v, p in zip(range(1, n + 1), parents)}
-    )
+    return LabelledRootedTree({v: p or None for v, p in enumerate(parents, 1)})
 
 
 def _prufer_parents(seq: Sequence[int], n: int) -> list[int]:
@@ -297,12 +293,6 @@ def _free_tree(rank: int, n: int) -> list[int]:
     return _prufer_parents(seq, n)
 
 
-def _rootings(rank: int, n: int) -> list[LabelledRootedTree]:
-    # that free tree rooted at 1..n in turn
-    par = _free_tree(rank, n)
-    return [LabelledRootedTree._from_par(_reroot(par, root)) for root in range(1, n + 1)]
-
-
 def _arity(n: int, least: int | None = None, message: str = "", error=TreeError) -> int:
     # the one check on a count (an arity or a series order) or a series index:
     # n itself once it is an int of at least `least`; a bool, float or str raises
@@ -324,7 +314,9 @@ def enumerate_trees(n: int) -> Iterator[LabelledRootedTree]:
         yield LabelledRootedTree._from_par((0,))
         return
     for rank in range(n ** (n - 2)):
-        yield from _rootings(rank, n)
+        par = _free_tree(rank, n)
+        for root in range(1, n + 1):
+            yield LabelledRootedTree._from_par(_reroot(par, root))
 
 
 def _degree(pairs: Iterable[tuple[int, int | None]]) -> int:
@@ -382,9 +374,7 @@ def _relabel(tree: LabelledRootedTree, phi: Mapping[int, int]) -> LabelledRooted
     return LabelledRootedTree({phi[v]: phi[p] if p else None for v, p in tree._pairs()})
 
 
-def order_relabel(
-    tree: LabelledRootedTree, target: Iterable[int]
-) -> LabelledRootedTree:
+def order_relabel(tree: LabelledRootedTree, target: Iterable[int]) -> LabelledRootedTree:
     """Relabel by the unique order-preserving bijection onto ``target``."""
     source, target = _expect(tree).labels, list(_expect(target, Iterable))
     if any(type(v) is not int for v in target):

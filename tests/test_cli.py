@@ -259,6 +259,26 @@ class TestVerify:
         assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 200
         assert elapsed < 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify freeness -n 12",
+            "verify collisions --operad min -n 12",
+            "compose --operad pl -i 1 "
+            "1(2,3,4,5,6,7,8,9,10,11,12,13) 1(2,3,4,5,6,7,8,9,10,11,12,13)",
+        ],
+    )
+    def test_a_word_list_or_sum_beyond_memory_is_refused_at_once(self, capsys, argv):
+        # about 7.7e11 words up to arity 12, and 13^12 terms: beyond the memory of any host
+        start = time.perf_counter()
+        code = main(argv.split())
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and "GB of memory here" in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 200
+        assert elapsed < 1
+
     def test_usage_error(self, capsys):
         assert main(["verify", "axioms", "--operad", "bogus"]) == 2
         assert main(["nonsense"]) == 2

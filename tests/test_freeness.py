@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -10,7 +11,7 @@ from operad_forge.trees import (
     LabelledRootedTree,
     TreeError,
     _free_tree,
-    _rootings,
+    _reroot,
     enumerate_trees,
     order_relabel,
     parse_tree,
@@ -34,7 +35,7 @@ from operad_forge.freeness import (
 )
 from operad_forge import freeness
 from operad_forge.series import generator_series
-from operad_forge.sweep import _sweep
+from operad_forge.sweep import _ENTRY_BYTES, _sweep
 
 from conftest import mirrored_word, reversed_tree, standard_trees
 
@@ -182,8 +183,10 @@ class TestFreeTreePass:
         monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
 
         def agrees(rank):
-            literal = tuple(t._par for t in _rootings(rank, 7) if is_indecomposable(t))
-            return _free_generators(_free_tree(rank, 7)) == literal
+            par = _free_tree(rank, 7)
+            rootings = [LabelledRootedTree._from_par(_reroot(par, root)) for root in range(1, 8)]
+            literal = tuple(t._par for t in rootings if is_indecomposable(t))
+            return _free_generators(par) == literal
 
         assert [rank for rank, ok in enumerate(_sweep(range(7**5), agrees)) if not ok] == []
 
@@ -317,6 +320,18 @@ class TestOperationTrees:
         digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
         assert digest == "00ad652ad1a13fd87c32a321b6872069af1666002e7b29e08d25aa9e523077bc"
 
+    def test_each_arity_of_generators_is_read_once(self, monkeypatch):
+        calls = []
+        plain = freeness.indecomposables
+
+        def counting(k):
+            calls.append(k)
+            return plain(k)
+
+        monkeypatch.setattr(freeness, "indecomposables", counting)
+        assert len(operation_trees(6)) == 6**5
+        assert calls == [2, 3, 4, 5, 6]
+
     def test_words_are_freed_on_return(self):
         # no reference cycle may keep the words alive once the caller drops them
         gc.collect()
@@ -436,6 +451,26 @@ class TestFreeness:
     def test_rejects_arity_below_two(self, n):
         with pytest.raises(TreeError):
             verify_freeness(n)
+
+    @pytest.mark.parametrize(
+        "search", [verify_freeness, lambda n: find_collision("min", n)], ids=["freeness", "min"]
+    )
+    def test_the_word_list_is_sized_before_it_is_built(self, monkeypatch, search):
+        # arity 3 builds 2 + 9 words: refused one byte short of their estimate, else run
+        need = 11 * _ENTRY_BYTES["word"]
+        built = []
+        plain = freeness.operation_trees
+        monkeypatch.setattr(freeness, "operation_trees", lambda n: built.append(n) or plain(n))
+        for memory, refused in ((need - 1, True), (need, False)):
+            sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+            if refused:
+                with pytest.raises(TreeError, match="arity 3 needs a list of at least 11 words"):
+                    search(3)
+                assert built == []
+            else:
+                assert search(3)
+                assert built == [3]
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_rejects_arity_that_is_not_an_int(self, n):

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from operad_forge.trees import _rootings
+from operad_forge.trees import LabelledRootedTree, _free_tree, _reroot
 from operad_forge.freeness import evaluate, factorize, is_indecomposable
 from operad_forge.series import generator_series
 from operad_forge.sweep import _sweep
@@ -63,7 +63,9 @@ def tally(n):
 
     def count(rank):
         counts = Counter()
-        for t in _rootings(rank, n):
+        par = _free_tree(rank, n)
+        for root in range(1, n + 1):
+            t = LabelledRootedTree._from_par(_reroot(par, root))
             word = factorize(t)
             assert evaluate(word) == t, str(t)
             nodes = generator_nodes(word)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 
 import hypothesis.strategies as st
@@ -38,6 +39,7 @@ from operad_forge.prelie import (
 from operad_forge.set_operads import compose_max, compose_min, compose_nap, f_nap_map
 
 from operad_forge import prelie
+from operad_forge.sweep import _ENTRY_BYTES
 
 from conftest import standard_trees
 
@@ -274,6 +276,23 @@ class TestComposePlLinear:
     def test_rejects_bad_position_even_for_a_zero_sum(self, a, i, message):
         with pytest.raises(TreeError, match=re.escape(message)):
             compose_pl_linear(a, i, TreeSum(2))
+
+    def test_the_composition_is_sized_before_it_is_built(self, monkeypatch):
+        # 1 has two children in one term of a and one in the other, and b has two terms:
+        # 2 * (3^2 + 3^1) terms, refused one byte short of their estimate, else built
+        a = TreeSum(3, {parse_tree("1(2,3)"): 1, parse_tree("1(3(2))"): 1})
+        b = TreeSum(3, {parse_tree("1(2,3)"): 1, parse_tree("2(1,3)"): -1})
+        need = 24 * _ENTRY_BYTES["term"]
+        for memory, refused in ((need - 1, True), (need, False)):
+            sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+            if refused:
+                with pytest.raises(TreeError, match="the composition has 24 terms"):
+                    compose_pl_linear(a, 1, b)
+                # the stage the pl axiom sweep uses is sized by that sweep, not here
+                assert len(compose_pl_linear.at(a, 1, 3)(b)) == 24
+            else:
+                assert len(compose_pl_linear(a, 1, b)) == 24
 
 
 def mixed_sign_sum(n):

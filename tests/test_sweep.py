@@ -1,6 +1,7 @@
-"""The sweep helper behind the exhaustive checks: its OPERAD_FORGE_THREADS
-setting, and the same results on one worker as on two, with no child
-process left behind."""
+"""The two helpers behind the exhaustive checks: the memory rule that
+sizes a request before it is built, and the sweep with its
+OPERAD_FORGE_THREADS setting, the same results on one worker as on
+two, with no child process left behind."""
 
 import itertools
 import os
@@ -9,7 +10,7 @@ import threading
 import pytest
 
 from operad_forge import cli, prelie
-from operad_forge.trees import TreeError, _prufer_parents, _reroot, _rootings, enumerate_trees
+from operad_forge.trees import TreeError, _free_tree, _prufer_parents, _reroot, enumerate_trees
 from operad_forge.prelie import check_extremal_terms
 from operad_forge.set_operads import KINDS, SET_COMPOSE, check_axioms, compose_max
 from operad_forge.freeness import (
@@ -18,7 +19,7 @@ from operad_forge.freeness import (
     is_indecomposable,
     verify_freeness,
 )
-from operad_forge.sweep import _sweep, _workers
+from operad_forge.sweep import _check_table_size, _sweep, _workers
 
 from conftest import with_plain_stage
 
@@ -38,6 +39,22 @@ def threads(request, monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_memory_rule_reads_no_size_past_the_first_refused(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 1}.__getitem__)
+    read = []
+
+    def sizes():
+        for size in (5, 10, 11, 12):
+            read.append(size)
+            yield size
+
+    message = "^11 entries, about 0.0 GB, more than the 0.0 GB of memory here$"
+    with pytest.raises(TreeError, match=message):
+        _check_table_size(sizes(), 10, lambda size: f"{size} entries")
+    assert read == [5, 10, 11]
+    _check_table_size(sizes(), 1, str)  # every size fits
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x", "", " 2", "+2", "1e3"])
@@ -137,7 +154,7 @@ def test_prufer_ranks_follow_the_product_order(n):
     sequences = itertools.product(range(1, n + 1), repeat=n - 2)
     for rank, seq in enumerate(sequences):
         par = _prufer_parents(seq, n)
-        rootings = [t._par for t in _rootings(rank, n)]
+        rootings = [_reroot(_free_tree(rank, n), root) for root in range(1, n + 1)]
         assert rootings == [_reroot(par, root) for root in range(1, n + 1)]
     assert rank == n ** (n - 2) - 1
 
