@@ -26,6 +26,7 @@ from .trees import (
     _standard,
     restrict,
 )
+from .series import generator_series
 from .sweep import _ENTRY_BYTES, _check_table_size, _sweep
 from .set_operads import SET_COMPOSE, compose_max
 
@@ -229,7 +230,9 @@ def _free_generators(par: list[int]) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _indecomposables(n: int) -> tuple[tuple[int, ...], ...]:
-    # the generators' parent tuples by Prüfer rank, then root; one sweep item per rank
+    # in Prüfer-rank, then root order; the counts rise from arity 3, so the first too big refuses n
+    _check_table_size((generator_series(k).coefficient(k) for k in range(2, n + 1)),
+                      _ENTRY_BYTES["generator"], lambda c: f"arity {n} has at least {c} generators")
     shares = _sweep(range(n ** (n - 2)), lambda rank: _free_generators(_free_tree(rank, n)))
     return tuple(itertools.chain.from_iterable(shares))
 
@@ -251,6 +254,9 @@ def operation_trees(n: int) -> list[OperationTree]:
     """
     if _arity(n) < 2:
         return []
+    sizes = itertools.accumulate(k ** (k - 1) for k in range(2, n + 1))  # k^(k-1) words of arity k
+    _check_table_size(sizes, _ENTRY_BYTES["word"],
+                      lambda size: f"arity {n} needs a list of at least {size} words")
     generators = {k: indecomposables(k) for k in range(2, n + 1)}  # each arity's list read once
     levels: list[list[Optional[OperationTree]]] = [[], [None]]  # by total arity
     for total in range(2, n + 1):
@@ -276,20 +282,11 @@ class FreenessReport(NamedTuple):
     expected: int
 
 
-def _images(n: int, compose: Callable) -> tuple[list[OperationTree], list]:
-    # every word of arity n and its image's parent tuple (lighter to unpickle than a tree);
-    # the k^(k-1) words of each arity k = 2..n are built
-    sizes = itertools.accumulate(k ** (k - 1) for k in range(2, n + 1))
-    _check_table_size(sizes, _ENTRY_BYTES["word"],
-                      lambda size: f"arity {n} needs a list of at least {size} words")
-    words = operation_trees(n)
-    return words, _sweep(words, lambda word: _standard(evaluate(word, compose)))
-
-
 def verify_freeness(n: int) -> FreenessReport:
     """Check that evaluation is a bijection onto all trees of arity n."""
     _arity(n, 2, "freeness is checked at arity at least 2")
-    words, images = _images(n, compose_max)
+    words = operation_trees(n)
+    images = _sweep(words, lambda word: _standard(evaluate(word)))  # parent tuples pickle lighter
     distinct, expected = len(set(images)), n ** (n - 1)
     return FreenessReport(len(words) == distinct == expected, len(words), distinct, expected)
 
@@ -304,8 +301,8 @@ def find_collision(kind: str, n: int) -> Optional[tuple[OperationTree, Operation
     if type(kind) is not str or kind not in SET_COMPOSE:
         raise TreeError(f"unknown operad kind {kind!r}")
     _arity(n, 2, "collisions are searched at arity at least 2")
-    seen: dict[tuple[int, ...], OperationTree] = {}
-    for word, image in zip(*_images(n, SET_COMPOSE[kind])):
-        if (first := seen.setdefault(image, word)) is not word:
+    compose, seen = SET_COMPOSE[kind], {}
+    for word in operation_trees(n):  # one word at a time, so the search stops at its first hit
+        if (first := seen.setdefault(evaluate(word, compose), word)) is not word:
             return first, word
     return None

@@ -202,7 +202,9 @@ class TreeSum:
         return hash((self._arity, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        return _signed_sum(f"{coeff}*{tree}" for tree, coeff in self.terms())
+        # each tree rendered once: distinct trees have distinct texts, so the pairs sort by text
+        pairs = sorted((str(LabelledRootedTree._from_par(p)), c) for p, c in self._terms.items())
+        return _signed_sum(f"{coeff}*{text}" for text, coeff in pairs)
 
     def __repr__(self) -> str:
         return f"TreeSum({self!s})"

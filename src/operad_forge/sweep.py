@@ -19,9 +19,10 @@ from .trees import TreeError
 
 # bytes per entry, CPython 3.11, 64-bit. An axiom table's composition, by kind: tracemalloc at
 # arity 4, keys and lists included (a pl sum grows with its arity, so beyond 4 it is a floor).
-# A word of verify freeness -n 8 and a term of compose --operad pl --json at 8^7 terms: the
-# CLI's peak RSS over its count, serial.
-_ENTRY_BYTES = {"max": 145, "min": 145, "nap": 145, "pl": 853, "word": 362, "term": 680}
+# A word of verify freeness -n 8, a generator of indecomposables -n 8 and a term of compose
+# --operad pl --json at 8^7 terms: the CLI's peak RSS over its count, serial.
+_ENTRY_BYTES = {"max": 145, "min": 145, "nap": 145, "pl": 853, "word": 362, "term": 680,
+                "generator": 307}
 
 
 def _check_table_size(sizes: Iterable[int], entry_bytes: int, what: Callable[[int], str]) -> None:

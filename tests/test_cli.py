@@ -266,10 +266,14 @@ class TestVerify:
             "verify collisions --operad min -n 12",
             "compose --operad pl -i 1 "
             "1(2,3,4,5,6,7,8,9,10,11,12,13) 1(2,3,4,5,6,7,8,9,10,11,12,13)",
+            "indecomposables -n 14",
+            "indecomposables -n 14 --count",
+            "indecomposables -n 1000 --count",
         ],
     )
     def test_a_word_list_or_sum_beyond_memory_is_refused_at_once(self, capsys, argv):
-        # about 7.7e11 words up to arity 12, and 13^12 terms: beyond the memory of any host
+        # about 7.7e11 words up to arity 12, 13^12 terms and 3.0e14 generators of arity 14:
+        # beyond the memory of any host; a far larger arity is refused as fast and as briefly
         start = time.perf_counter()
         code = main(argv.split())
         elapsed = time.perf_counter() - start

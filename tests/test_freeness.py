@@ -149,6 +149,29 @@ class TestIndecomposable:
             indecomposables.cache_clear()
         assert [str(t) for t in indecomposables(3)] == ["2(1,3)"]  # the patches are gone
 
+    def test_the_generator_search_is_sized_before_it_runs(self, monkeypatch):
+        # arity 4 has 14 generators by the series: refused one byte short of their estimate
+        need = 14 * _ENTRY_BYTES["generator"]
+        searched = []
+        plain = freeness._free_generators
+        monkeypatch.setenv("OPERAD_FORGE_THREADS", "1")
+        monkeypatch.setattr(freeness, "_free_generators", lambda p: searched.append(p) or plain(p))
+        indecomposables.cache_clear()
+        try:
+            for memory, refused in ((need - 1, True), (need, False)):
+                sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+                monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+                if refused:
+                    with pytest.raises(TreeError, match="arity 4 has at least 14 generators, about"):
+                        indecomposables(4)
+                    assert searched == []
+                    assert indecomposables.cache_info().currsize == 0
+                else:
+                    assert len(indecomposables(4)) == 14
+                    assert len(searched) == 4 ** 2  # one free tree per Prüfer rank
+        finally:
+            indecomposables.cache_clear()
+
     @pytest.mark.slow
     def test_generator_count_arity_eight_is_the_series_coefficient(self, monkeypatch):
         monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")  # capped at the usable CPUs
@@ -453,24 +476,26 @@ class TestFreeness:
             verify_freeness(n)
 
     @pytest.mark.parametrize(
-        "search", [verify_freeness, lambda n: find_collision("min", n)], ids=["freeness", "min"]
+        "search",
+        [verify_freeness, lambda n: find_collision("min", n), operation_trees],
+        ids=["freeness", "min", "operation_trees"],
     )
     def test_the_word_list_is_sized_before_it_is_built(self, monkeypatch, search):
         # arity 3 builds 2 + 9 words: refused one byte short of their estimate, else run
         need = 11 * _ENTRY_BYTES["word"]
-        built = []
-        plain = freeness.operation_trees
-        monkeypatch.setattr(freeness, "operation_trees", lambda n: built.append(n) or plain(n))
+        read = []
+        plain = freeness.indecomposables
+        monkeypatch.setattr(freeness, "indecomposables", lambda k: read.append(k) or plain(k))
         for memory, refused in ((need - 1, True), (need, False)):
             sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
             monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
             if refused:
                 with pytest.raises(TreeError, match="arity 3 needs a list of at least 11 words"):
                     search(3)
-                assert built == []
+                assert read == []  # refused before any generator is read
             else:
                 assert search(3)
-                assert built == [3]
+                assert read == [2, 3]
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_rejects_arity_that_is_not_an_int(self, n):
@@ -503,6 +528,23 @@ class TestCollisions:
         texts = {str(w) for w in pair}
         assert texts == {"1(2)[2(1), _]", "2(1)[_, 1(2)]"}
         assert {evaluate(w, compose_nap) for w in pair} == {parse_tree("2(1,3)")}
+
+    @pytest.mark.parametrize("kind,calls", [("min", 12), ("nap", 20)])
+    def test_the_search_stops_at_its_first_collision(self, monkeypatch, kind, calls):
+        # at arity 5 the first collision is the 3rd word (min) or the 5th (nap); evaluating
+        # all 625 words, slots included, would make 1 636 calls
+        for k in range(2, 6):
+            indecomposables(k)  # with the generators cached, the search sweeps nothing
+
+        def refused(*args):
+            raise AssertionError("the collision search swept")
+
+        made = []
+        plain = freeness.evaluate
+        monkeypatch.setattr(freeness, "_sweep", refused)
+        monkeypatch.setattr(freeness, "evaluate", lambda w, c: made.append(w) or plain(w, c))
+        assert find_collision(kind, 5) is not None
+        assert len(made) == calls
 
     def test_max_never_collides_at_small_arity(self):
         for n in range(2, 7):

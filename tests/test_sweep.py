@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from operad_forge import cli, prelie
+from operad_forge import cli, freeness, prelie
 from operad_forge.trees import TreeError, _free_tree, _prufer_parents, _reroot, enumerate_trees
 from operad_forge.prelie import check_extremal_terms
 from operad_forge.set_operads import KINDS, SET_COMPOSE, check_axioms, compose_max
@@ -231,18 +231,17 @@ def test_a_worker_that_ends_without_a_result_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["min", "nap"])
-def test_an_error_in_a_workers_evaluations_reaches_the_caller(monkeypatch, kind):
+def test_an_error_in_a_workers_evaluations_reaches_the_caller(monkeypatch):
     monkeypatch.setenv("OPERAD_FORGE_THREADS", "2")
     two_cpus(monkeypatch)
-    parent, original = os.getpid(), SET_COMPOSE[kind]
+    parent, plain = os.getpid(), freeness.evaluate
 
-    def compose(tree, i, inserted):
+    def evaluate(word, compose=compose_max):
         if os.getpid() != parent:
             raise TreeError("evaluation failed in a worker")
-        return original(tree, i, inserted)
+        return plain(word, compose)
 
-    monkeypatch.setitem(SET_COMPOSE, kind, compose)
+    monkeypatch.setattr(freeness, "evaluate", evaluate)
     with pytest.raises(TreeError, match="evaluation failed in a worker"):
-        find_collision(kind, 4)
+        verify_freeness(4)
     assert_no_child_left()
