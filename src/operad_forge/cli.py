@@ -133,16 +133,16 @@ def _run(args) -> int:
 
     if args.command == "compose":
         outer, inner = parse_tree(args.outer), parse_tree(args.inner)
-        if args.operad == "pl":
-            result = compose_pl(outer, args.i, inner)
-            if args.json:
-                terms = [{"coeff": c, "tree": str(t)} for t, c in result.terms()]
-                out.write(json.dumps({"arity": result.arity, "terms": terms}) + "\n")
-            else:
-                out.write(str(result) + "\n")
-        else:
+        if args.operad != "pl":
             result = SET_COMPOSE[args.operad](outer, args.i, inner)
             out.write((tree_to_json(result) if args.json else str(result)) + "\n")
+        elif args.json:
+            result = compose_pl(outer, args.i, inner)
+            terms = [{"coeff": c, "tree": text} for text, _, c in result._listing()]
+            arity, result = result.arity, None  # the sum is freed before its text is built
+            out.write(json.dumps({"arity": arity, "terms": terms}) + "\n")
+        else:
+            out.write(f"{compose_pl(outer, args.i, inner)}\n")
         return 0
 
     if args.command == "minmax":

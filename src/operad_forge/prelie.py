@@ -157,10 +157,12 @@ class TreeSum:
     def arity(self) -> int:
         return self._arity
 
+    def _listing(self) -> list[tuple[str, tuple[int, ...], int]]:
+        return sorted((str(LabelledRootedTree._from_par(p)), p, c) for p, c in self._terms.items())
+
     def terms(self) -> list[tuple[LabelledRootedTree, int]]:
         """Terms sorted by canonical tree string."""
-        items = [(LabelledRootedTree._from_par(p), c) for p, c in self._terms.items()]
-        return sorted(items, key=lambda item: str(item[0]))
+        return [(LabelledRootedTree._from_par(p), c) for _, p, c in self._listing()]
 
     def trees(self) -> set[LabelledRootedTree]:
         return set(map(LabelledRootedTree._from_par, self._terms))
@@ -202,9 +204,7 @@ class TreeSum:
         return hash((self._arity, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        # each tree rendered once: distinct trees have distinct texts, so the pairs sort by text
-        pairs = sorted((str(LabelledRootedTree._from_par(p)), c) for p, c in self._terms.items())
-        return _signed_sum(f"{coeff}*{text}" for text, coeff in pairs)
+        return _signed_sum(f"{coeff}*{text}" for text, _, coeff in self._listing())
 
     def __repr__(self) -> str:
         return f"TreeSum({self!s})"
@@ -248,10 +248,15 @@ def _pl_at(a: TreeSum, i: int, m: int):
 def compose_pl_linear(a: TreeSum, i: int, b: TreeSum) -> TreeSum:
     """Bilinear extension of :func:`compose_pl` to formal sums: its stage applied once."""
     m = _expect(b, TreeSum).arity
-    # each term t of a and s of b gives one term per map of i's children into [m]
-    terms = len(b) * sum([m ** t.count(i) for t in _expect(a, TreeSum)._terms])
-    _check_table_size([terms], _ENTRY_BYTES["term"],
-                      lambda size: f"the composition has {size} terms")
+
+    def sizes(total=0):  # each t of a and s of b give a term per map of i's children into [m],
+        for t in _expect(a, TreeSum)._terms:  # so t's count grows one child of i at a time
+            for k in range(t.count(i) + 1):
+                yield total + len(b) * m ** k
+            total += len(b) * m ** k
+
+    _check_table_size(sizes(), _ENTRY_BYTES["term"],
+                      lambda size: f"the composition has at least {size} terms")
     return _pl_at(a, i, m)(b)
 
 
@@ -325,6 +330,8 @@ def check_extremal_terms(max_arity: int) -> list[str]:
     """
     _arity(max_arity, 2, "max_arity must be at least 2")
     arities = range(1, max_arity + 1)
+    _check_table_size(itertools.accumulate(n ** n for n in arities), _ENTRY_BYTES["case"],
+                      lambda size: f"max_arity {max_arity} checks at least {size} (T, i) cases")
     basis = {m: [t._par for t in enumerate_trees(m)] for m in arities}
 
     def extremal(item) -> list[str]:

@@ -17,10 +17,14 @@ import operad_forge
 from operad_forge import cli, freeness, prelie
 from operad_forge.cli import main
 from operad_forge.set_operads import KINDS, SET_COMPOSE
-from operad_forge.trees import tree_from_json
+from operad_forge.trees import LabelledRootedTree, tree_from_json
 
 from conftest import standard_trees
 from test_set_operads import clamp_compose
+
+
+# the corollas 1(2,...,n): their composition at 1 has n^(n-1) terms
+WIDE = {n: f"1({','.join(map(str, range(2, n + 1)))})" for n in (60, 200)}
 
 
 def run(capsys, *argv):
@@ -67,6 +71,25 @@ class TestCompose:
         data = json.loads(out)
         assert data["arity"] == 4
         assert {t["tree"] for t in data["terms"]} >= {"3(2(1,4))"}
+
+    @pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+    def test_each_term_is_rendered_once(self, capsys, monkeypatch, flag):
+        # 1 has three children and the inner tree has arity 3: 3^3 terms, each tree rendered once
+        rendered = []
+        plain_str = LabelledRootedTree.__str__
+        monkeypatch.setattr(
+            LabelledRootedTree, "__str__", lambda t: rendered.append(t) or plain_str(t))
+        code, _ = run(capsys, "compose", "--operad", "pl", "-i", "1", "1(2,3,4)", "2(1,3)", *flag)
+        assert code == 0 and len(rendered) == 27
+        assert len(set(rendered)) == 27
+
+    @pytest.mark.parametrize(
+        "outer, i, inner", [("2(1,3)", "2", "2(1)"), ("1(2,3(4))", "1", "2(1,3)")])
+    def test_json_terms_follow_the_text_terms(self, capsys, outer, i, inner):
+        _, text = run(capsys, "compose", "--operad", "pl", "-i", i, outer, inner)
+        _, payload = run(capsys, "compose", "--operad", "pl", "-i", i, outer, inner, "--json")
+        terms = [f"{t['coeff']}*{t['tree']}" for t in json.loads(payload)["terms"]]
+        assert len(terms) > 1 and terms == text.rstrip("\n").split(" + ")
 
     def test_set_operads(self, capsys):
         code, out = run(capsys, "compose", "--operad", "max", "-i", "3", "4(3(1,2,5),6)", "3(1(2))")
@@ -269,11 +292,16 @@ class TestVerify:
             "indecomposables -n 14",
             "indecomposables -n 14 --count",
             "indecomposables -n 1000 --count",
+            f"compose --operad pl -i 1 {WIDE[60]} {WIDE[60]}",
+            f"compose --operad pl -i 1 {WIDE[200]} {WIDE[200]}",
+            "verify minmax --max-arity 9",
         ],
+        ids=lambda argv: argv.replace(WIDE[60], "T60").replace(WIDE[200], "T200"),
     )
     def test_a_word_list_or_sum_beyond_memory_is_refused_at_once(self, capsys, argv):
-        # about 7.7e11 words up to arity 12, 13^12 terms and 3.0e14 generators of arity 14:
-        # beyond the memory of any host; a far larger arity is refused as fast and as briefly
+        # about 7.7e11 words up to arity 12, 13^12 terms, 3.0e14 generators of arity 14 and
+        # 4.1e8 (T, i) cases to arity 9: beyond the memory of any host; a far larger arity is
+        # refused as fast and as briefly, and a pl count stops at the first size too large
         start = time.perf_counter()
         code = main(argv.split())
         elapsed = time.perf_counter() - start

@@ -287,7 +287,7 @@ class TestComposePlLinear:
             sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
             monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
             if refused:
-                with pytest.raises(TreeError, match="the composition has 24 terms"):
+                with pytest.raises(TreeError, match="the composition has at least 24 terms"):
                     compose_pl_linear(a, 1, b)
                 # the stage the pl axiom sweep uses is sized by that sweep, not here
                 assert len(compose_pl_linear.at(a, 1, 3)(b)) == 24
@@ -368,6 +368,25 @@ class TestExtremalTerms:
 
     def test_exhaustive_small(self):
         assert check_extremal_terms(3) == []
+
+    def test_the_case_list_is_sized_before_any_tree_is_enumerated(self, monkeypatch):
+        # arity 3 checks 1 + 2^2 + 3^3 = 32 (T, i) cases: refused one byte short of their
+        # estimate before a tree is enumerated, else run
+        enumerated = []
+        plain_enumerate = prelie.enumerate_trees
+        monkeypatch.setattr(
+            prelie, "enumerate_trees", lambda m: enumerated.append(m) or plain_enumerate(m))
+        need = 32 * _ENTRY_BYTES["case"]
+        for memory, refused in ((need - 1, True), (need, False)):
+            sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+            if refused:
+                with pytest.raises(TreeError, match=re.escape("checks at least 32 (T, i) cases")):
+                    check_extremal_terms(3)
+                assert enumerated == []
+            else:
+                assert check_extremal_terms(3) == []
+                assert enumerated == [1, 2, 3]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failures_are_reported_in_loop_order(self, monkeypatch, threads):
